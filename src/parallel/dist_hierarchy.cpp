@@ -15,14 +15,15 @@
 #include <cassert>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
-#include <unordered_set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "graph/subgraph.hpp"
 #include "matching/tentative_match.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/wire_format.hpp"
+#include "util/flat_index.hpp"
 #include "util/seeded_hash.hpp"
 #include "util/trace.hpp"
 
@@ -305,8 +306,9 @@ std::vector<NodeID> DistHierarchy::match_level(
       if (q == rank || !level.peer[q]) continue;
       const Message msg = pe_.receive(q);
       for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        match_rating[level.shard.local_of(static_cast<NodeID>(
-            msg.payload[i]))] = std::bit_cast<double>(msg.payload[i + 1]);
+        const NodeID g = level.shard.peer_ghost_of(
+            static_cast<NodeID>(msg.payload[i]), rank, pe_.halo_level());
+        match_rating[g] = std::bit_cast<double>(msg.payload[i + 1]);
       }
     }
   }
@@ -368,21 +370,20 @@ std::vector<NodeID> DistHierarchy::match_level(
     return edge_key(cands[i].u_global, cands[i].v_global) <
            edge_key(cands[b].u_global, cands[b].v_global);
   };
+  // Per local node: its nominated candidate this round (kNone: none).
+  std::vector<std::size_t> best(num_local, kNone);
   while (true) {
     if (stats_ != nullptr) ++stats_->gap_rounds;
-    hash_map<NodeID, std::size_t> best;
     for (NodeID x = 0; x < num_local; ++x) {
-      if (taken[x] || incident[x].empty()) continue;
       std::size_t b = kNone;
-      for (const std::size_t i : incident[x]) {
-        if (alive[i] && (b == kNone || better(i, b))) b = i;
+      if (!taken[x]) {
+        for (const std::size_t i : incident[x]) {
+          if (alive[i] && (b == kNone || better(i, b))) b = i;
+        }
       }
-      if (b != kNone) best[x] = b;
+      best[x] = b;
     }
-    auto best_at = [&](NodeID x, std::size_t i) {
-      const auto it = best.find(x);
-      return it != best.end() && it->second == i;
-    };
+    auto best_at = [&](NodeID x, std::size_t i) { return best[x] == i; };
 
     // Nomination exchange for spanning candidates.
     hash_set<std::uint64_t> remote_best;
@@ -554,8 +555,8 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
       if (q == rank || !fine.peer[q]) continue;
       const Message msg = pe_.receive(q);
       for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        const NodeID lu = sg.local_of(static_cast<NodeID>(msg.payload[i]));
-        assert(lu != kInvalidNode && sg.is_owned(lu));
+        const NodeID lu = sg.peer_owned_of(static_cast<NodeID>(msg.payload[i]),
+                                           rank, pe_.halo_level());
         coarse_of[lu] = static_cast<NodeID>(msg.payload[i + 1]);
       }
     }
@@ -596,8 +597,8 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
       if (q == rank || !fine.peer[q]) continue;
       const Message msg = pe_.receive(q);
       for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        const NodeID l = sg.local_of(static_cast<NodeID>(msg.payload[i]));
-        assert(l != kInvalidNode && !sg.is_owned(l));
+        const NodeID l = sg.peer_ghost_of(static_cast<NodeID>(msg.payload[i]),
+                                          rank, pe_.halo_level());
         coarse_of[l] = static_cast<NodeID>(msg.payload[i + 1]);
       }
     }
@@ -708,7 +709,7 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
       }
       for (EdgeID e = rows.xadj.back(); e < rows.adj.size(); ++e) {
         const NodeID ct = rows.adj[e];
-        if (next.shard_of(ct) != s) {
+        if (ct < shard_begin[s] || ct >= shard_begin[s + 1]) {  // other shard
           coarse_shard.cross_arcs.push_back({c, ct, rows.ewgt[e]});
           boundary = true;
         }
@@ -747,10 +748,8 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   std::vector<BlockID> ghost_warm(warm_ ? ghosts.size() : 0, 0);
   {
     const std::uint64_t stride = warm_ ? 4 : 3;
-    auto ghost_index = [&](NodeID g) {
-      return static_cast<std::size_t>(
-          std::lower_bound(ghosts.begin(), ghosts.end(), g) - ghosts.begin());
-    };
+    FlatIndex ghost_index(ghosts.size());
+    for (NodeID g = 0; g < ghosts.size(); ++g) ghost_index.insert(ghosts[g], g);
     // Row index of an owned coarse id: rows were appended per shard in
     // my_shard_ids order, contiguous coarse-id ranges within each.
     std::vector<std::size_t> shard_row_offset(next.my_shards.size() + 1, 0);
@@ -790,8 +789,10 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
       const Message msg = pe_.receive(q);
       for (std::size_t i = 0; i + (stride - 1) < msg.payload.size();
            i += stride) {
-        const std::size_t g = ghost_index(static_cast<NodeID>(msg.payload[i]));
-        assert(g < ghosts.size());
+        const NodeID g =
+            peer_local_of(ghost_index, static_cast<NodeID>(msg.payload[i]), 0,
+                          static_cast<NodeID>(ghosts.size()), rank,
+                          pe_.halo_level());
         ghost_weights[g] = bits_weight(msg.payload[i + 1]);
         ghost_wdeg[g] = bits_weight(msg.payload[i + 2]);
         if (warm_) ghost_warm[g] = static_cast<BlockID>(msg.payload[i + 3]);
@@ -837,18 +838,11 @@ const StaticGraph& DistHierarchy::coarsest() {
     const StaticGraph& resident = L.shard.csr();
     const NodeID num_owned = L.shard.num_owned();
     std::vector<std::uint64_t> words;
-    GraphRow scratch;
     for (NodeID i = 0; i < num_owned; ++i) {
-      scratch.weight = resident.node_weight(i);
-      scratch.targets.clear();
-      scratch.weights.clear();
-      for (EdgeID e = resident.first_arc(i); e < resident.last_arc(i); ++e) {
-        scratch.targets.push_back(L.shard.global_of(resident.arc_target(e)));
-        scratch.weights.push_back(resident.arc_weight(e));
-      }
       append_row_words(words, L.shard.global_of(i),
-                       {scratch.weight, scratch.targets, scratch.weights},
-                       [](NodeID t) { return t; });
+                       {resident.node_weight(i), resident.neighbors(i),
+                        resident.arc_weights(i)},
+                       [&](NodeID t) { return L.shard.global_of(t); });
     }
     const auto gathered =
         // kappa-lint: allow(no-hierarchy-gathers, "one-time O(n_coarsest) replica gather, sanctioned by §4.2")
@@ -971,68 +965,55 @@ BlockRowShard DistHierarchy::distribute_block_rows(
 
   // §5.2 data distribution: rows move from shard owners to block owners,
   // each preceded by its block word (the receiver holds no assignment).
-  struct Incoming {
-    NodeID id;
-    BlockID block;
-    GraphRow row;
-  };
-  std::vector<Incoming> incoming;
-  std::vector<std::vector<std::uint64_t>> outbox(p);
-  GraphRow scratch;
+  // The rows this rank keeps go through the same encoding, so every
+  // source is one word stream in ascending id order (owned local ids
+  // ascend with global ids).
+  std::vector<std::vector<std::uint64_t>> streams(p);
   for (NodeID i = 0; i < num_owned; ++i) {
     const NodeID u = L.shard.global_of(i);
     const BlockID b = partition.block(u);
-    const int dest = BlockRowShard::owner_of_block(b, p);
-    scratch.weight = resident.node_weight(i);
-    scratch.targets.clear();
-    scratch.weights.clear();
-    for (EdgeID e = resident.first_arc(i); e < resident.last_arc(i); ++e) {
-      scratch.targets.push_back(L.shard.global_of(resident.arc_target(e)));
-      scratch.weights.push_back(resident.arc_weight(e));
-    }
-    if (dest == rank) {
-      incoming.push_back({u, b, scratch});
-    } else {
-      outbox[dest].push_back(b);
-      append_row_words(outbox[dest], u,
-                       {scratch.weight, scratch.targets, scratch.weights},
-                       [](NodeID t) { return t; });
-    }
+    std::vector<std::uint64_t>& words =
+        streams[BlockRowShard::owner_of_block(b, p)];
+    words.push_back(b);
+    append_row_words(
+        words, u,
+        {resident.node_weight(i), resident.neighbors(i),
+         resident.arc_weights(i)},
+        [&](NodeID t) { return L.shard.global_of(t); });
   }
   // Deterministic all-to-all rendezvous: one (possibly empty) message to
   // every other rank, one receive from each.
   for (int q = 0; q < p; ++q) {
-    if (q != rank) pe_.send(q, std::move(outbox[q]));
+    if (q != rank) pe_.send(q, std::move(streams[q]));
   }
   for (int q = 0; q < p; ++q) {
-    if (q == rank) continue;
-    const Message msg = pe_.receive(q);
-    std::size_t cursor = 0;
-    GraphRow row;
-    while (cursor + 3 < msg.payload.size()) {
-      const BlockID b = static_cast<BlockID>(msg.payload[cursor++]);
-      const NodeID id = decode_row_words(msg.payload, cursor, row);
-      incoming.push_back({id, b, std::move(row)});
-    }
+    if (q != rank) streams[q] = pe_.receive(q).payload;
   }
-  std::sort(incoming.begin(), incoming.end(),
-            [](const Incoming& a, const Incoming& b) { return a.id < b.id; });
 
+  // Merge the p sorted streams straight into the core rows.
   RowSet core;
   std::vector<BlockID> blocks;
-  core.ids.reserve(incoming.size());
-  core.xadj.reserve(incoming.size() + 1);
   core.xadj.push_back(0);
-  blocks.reserve(incoming.size());
-  for (Incoming& in : incoming) {
-    core.ids.push_back(in.id);
-    blocks.push_back(in.block);
-    core.vwgt.push_back(in.row.weight);
-    core.adj.insert(core.adj.end(), in.row.targets.begin(),
-                    in.row.targets.end());
-    core.ewgt.insert(core.ewgt.end(), in.row.weights.begin(),
-                     in.row.weights.end());
-    core.xadj.push_back(core.adj.size());
+  std::vector<std::size_t> cursor(p, 0);
+  while (true) {
+    int next = -1;
+    for (int q = 0; q < p; ++q) {
+      if (cursor[q] + 3 < streams[q].size() &&
+          (next < 0 || streams[q][cursor[q] + 1] <
+                           streams[next][cursor[next] + 1])) {
+        next = q;
+      }
+    }
+    if (next < 0) break;
+    std::size_t& c = cursor[next];
+    blocks.push_back(static_cast<BlockID>(streams[next][c++]));
+    decode_row_words(streams[next], c, core);
+    if (core.ids.size() > 1 && core.ids.back() <= core.ids.end()[-2]) {
+      throw std::runtime_error("rank " + std::to_string(rank) + ", level " +
+                               std::to_string(l) + ": rows from rank " +
+                               std::to_string(next) +
+                               " are not in ascending id order");
+    }
   }
   return BlockRowShard(std::move(core), blocks, k, rank, p);
 }

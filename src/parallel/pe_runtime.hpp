@@ -125,6 +125,8 @@ class PEContext {
   /// counters of coarsening level \p level (see CommStats::halo_per_level);
   /// pass -1 to stop attributing. The totals always count everything.
   void set_halo_level(int level) { halo_level_ = level; }
+  /// The coarsening level sends are attributed to (-1: none).
+  [[nodiscard]] int halo_level() const { return halo_level_; }
 
   /// Records a scheduling round this rank sat out (no pair executed, no
   /// side shipped) — see CommStats::rounds_waited.

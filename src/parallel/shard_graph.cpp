@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
-#include "graph/dynamic_overlay.hpp"
 #include "parallel/wire_format.hpp"
 
 namespace kappa {
@@ -26,7 +27,38 @@ NodeID decode_row_words(const std::vector<std::uint64_t>& words,
   return id;
 }
 
+void decode_row_words(const std::vector<std::uint64_t>& words,
+                      std::size_t& cursor, RowSet& rows) {
+  if (cursor + 3 > words.size() ||
+      words[cursor + 2] > (words.size() - cursor - 3) / 2) {
+    throw std::runtime_error("a shipped row runs past the end of its message");
+  }
+  rows.ids.push_back(static_cast<NodeID>(words[cursor]));
+  rows.vwgt.push_back(bits_weight(words[cursor + 1]));
+  const std::uint64_t narcs = words[cursor + 2];
+  cursor += 3;
+  for (std::uint64_t j = 0; j < narcs; ++j, cursor += 2) {
+    rows.adj.push_back(static_cast<NodeID>(words[cursor]));
+    rows.ewgt.push_back(bits_weight(words[cursor + 1]));
+  }
+  rows.xadj.push_back(rows.adj.size());
+}
+
 // ------------------------------------------------------------ ShardGraph ----
+
+NodeID peer_local_of(const FlatIndex& index, NodeID global, NodeID first,
+                     NodeID last, int rank, int level) {
+  const NodeID local = index.find(global);
+  if (local == kInvalidNode || local < first || local >= last) {
+    const char* why = local == kInvalidNode ? "not resident here"
+                                            : "outside the expected range";
+    throw std::runtime_error("rank " + std::to_string(rank) + ", level " +
+                             std::to_string(level) +
+                             ": a peer message names node " +
+                             std::to_string(global) + ", which is " + why);
+  }
+  return local;
+}
 
 ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
                        PEContext& pe) {
@@ -43,11 +75,6 @@ ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
   }
   std::sort(owned.begin(), owned.end());
   num_owned_ = static_cast<NodeID>(owned.size());
-
-  // Static core: the subgraph induced by the owned set. This replica
-  // read is the initial data distribution of the level; every structure
-  // the matching inner loops touch afterwards is resident.
-  const Subgraph core = induced_subgraph(level, owned);
 
   // Rank-remote cross arcs define the one-hop ghost layer. Cross arcs
   // between two shards of this rank stay inside the core.
@@ -70,22 +97,23 @@ ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
   std::sort(ghosts.begin(), ghosts.end());
   ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
 
-  local_to_global_ = owned;
+  local_to_global_ = std::move(owned);
   local_to_global_.insert(local_to_global_.end(), ghosts.begin(),
                           ghosts.end());
-  global_to_local_.reserve(local_to_global_.size());
-  for (NodeID local = 0; local < local_to_global_.size(); ++local) {
-    global_to_local_.emplace(local_to_global_[local], local);
+  const NodeID num_local = static_cast<NodeID>(local_to_global_.size());
+  global_to_local_.reserve(num_local);
+  for (NodeID local = 0; local < num_local; ++local) {
+    global_to_local_.insert(local_to_global_[local], local);
   }
 
-  // Owned weighted degrees are computable locally: core row sum plus the
-  // rank-remote cross arc weights.
-  weighted_degrees_.assign(local_to_global_.size(), 0);
+  // The level's rows are resident here (this read is the initial data
+  // distribution of the level), so owned weights and full-row weighted
+  // degrees are local; ghost entries come from the refresh below.
+  std::vector<NodeWeight> vwgt(num_local, 0);
+  weighted_degrees_.assign(num_local, 0);
   for (NodeID i = 0; i < num_owned_; ++i) {
-    weighted_degrees_[i] = core.graph.weighted_degree(i);
-  }
-  for (const GhostArc& arc : ghost_arcs) {
-    weighted_degrees_[global_to_local_.at(arc.u)] += arc.w;
+    vwgt[i] = level.node_weight(local_to_global_[i]);
+    weighted_degrees_[i] = level.weighted_degree(local_to_global_[i]);
   }
 
   // --- Ghost refresh over channels: every neighboring rank sends, per
@@ -112,56 +140,62 @@ ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
         continue;
       }
       peers_of_u.push_back(q);
-      const NodeID lu = global_to_local_.at(arc.u);
+      const NodeID lu = global_to_local_.find(arc.u);
       to_peer[q].push_back(arc.u);
-      to_peer[q].push_back(weight_bits(core.graph.node_weight(lu)));
+      to_peer[q].push_back(weight_bits(vwgt[lu]));
       to_peer[q].push_back(weight_bits(weighted_degrees_[lu]));
     }
     for (int q = 0; q < p; ++q) {
       if (q != rank && is_peer[q]) pe.send(q, std::move(to_peer[q]));
     }
   }
-  std::vector<NodeWeight> ghost_weight(ghosts.size(), 0);
   for (int q = 0; q < p; ++q) {
     if (q == rank || !is_peer[q]) continue;
     const Message msg = pe.receive(q);
     for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
-      const NodeID g = static_cast<NodeID>(msg.payload[i]);
-      const NodeID local = global_to_local_.at(g);
-      assert(local >= num_owned_);
-      ghost_weight[local - num_owned_] = bits_weight(msg.payload[i + 1]);
+      const NodeID local = peer_ghost_of(static_cast<NodeID>(msg.payload[i]),
+                                         rank, pe.halo_level());
+      vwgt[local] = bits_weight(msg.payload[i + 1]);
       weighted_degrees_[local] = bits_weight(msg.payload[i + 2]);
     }
   }
 
-  // --- Ghost intake through the §5.2 hybrid structure: the received
-  // halo enters a DynamicOverlay over the owned core (ghosts as
-  // migrated nodes, owned boundary nodes gaining overlay edges into the
-  // halo), which is then sealed into the compact local CSR. ---
-  DynamicOverlay intake(core.graph, core.local_to_global);
-  for (std::size_t i = 0; i < ghosts.size(); ++i) {
-    intake.add_migrated_node(ghosts[i], ghost_weight[i]);
+  // --- Seal the local CSR. An owned row holds the node's full arc list:
+  // its core arcs (targets owned here) in input order, then its ghost
+  // arcs; a ghost row holds the mirror arcs back into the owned set.
+  // Ghost arcs enter every row in reverse ghost_arcs order. The matcher
+  // streams read rows in order, so this order is part of the partition
+  // (pinned against a DynamicOverlay-sealed reference in
+  // shard_graph_test). ---
+  std::vector<EdgeID> xadj(num_local + 1, 0);
+  for (NodeID i = 0; i < num_owned_; ++i) {
+    xadj[i + 1] = level.degree(local_to_global_[i]);
   }
   for (const GhostArc& arc : ghost_arcs) {
-    intake.add_migrated_edge(arc.u, arc.v, arc.w);  // owned -> ghost
-    intake.add_migrated_edge(arc.v, arc.u, arc.w);  // mirror arc
+    ++xadj[global_to_local_.find(arc.v) + 1];
   }
-
-  std::vector<EdgeID> xadj;
-  xadj.reserve(local_to_global_.size() + 1);
-  xadj.push_back(0);
-  std::vector<NodeID> adj;
-  std::vector<EdgeWeight> ewgt;
-  std::vector<NodeWeight> vwgt;
-  vwgt.reserve(local_to_global_.size());
-  for (NodeID local = 0; local < local_to_global_.size(); ++local) {
-    const NodeID global = local_to_global_[local];
-    vwgt.push_back(intake.node_weight(global));
-    intake.for_each_neighbor(global, [&](NodeID to_global, EdgeWeight w) {
-      adj.push_back(global_to_local_.at(to_global));
-      ewgt.push_back(w);
-    });
-    xadj.push_back(adj.size());
+  for (NodeID local = 0; local < num_local; ++local) {
+    xadj[local + 1] += xadj[local];
+  }
+  std::vector<EdgeID> fill(xadj.begin(), xadj.end() - 1);
+  std::vector<NodeID> adj(xadj.back());
+  std::vector<EdgeWeight> ewgt(xadj.back());
+  for (NodeID i = 0; i < num_owned_; ++i) {
+    const NodeID u = local_to_global_[i];
+    for (EdgeID e = level.first_arc(u); e < level.last_arc(u); ++e) {
+      const NodeID t = global_to_local_.find(level.arc_target(e));
+      if (t >= num_owned_) continue;  // a ghost arc, placed below
+      adj[fill[i]] = t;
+      ewgt[fill[i]++] = level.arc_weight(e);
+    }
+  }
+  for (auto it = ghost_arcs.rbegin(); it != ghost_arcs.rend(); ++it) {
+    const NodeID lu = global_to_local_.find(it->u);
+    const NodeID lv = global_to_local_.find(it->v);
+    adj[fill[lu]] = lv;
+    ewgt[fill[lu]++] = it->w;
+    adj[fill[lv]] = lu;
+    ewgt[fill[lv]++] = it->w;
   }
   csr_ = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
                      std::move(vwgt));
@@ -178,48 +212,46 @@ ShardGraph::ShardGraph(ShardGraphParts parts) {
                           parts.ghosts.end());
   global_to_local_.reserve(local_to_global_.size());
   for (NodeID local = 0; local < local_to_global_.size(); ++local) {
-    global_to_local_.emplace(local_to_global_[local], local);
+    global_to_local_.insert(local_to_global_[local], local);
   }
 
-  // Ghost mirror rows: the arcs back into the owned set, derived from the
-  // owned rows' ghost targets (kept sorted by owned endpoint — the order
+  // Owned rows keep their arcs with targets translated to local ids;
+  // ghost mirror rows hold the arcs back into the owned set, derived from
+  // the owned rows' ghost targets (sorted by owned endpoint — the order
   // is resident-only state that never feeds a p-sensitive stream).
-  std::vector<std::vector<std::pair<NodeID, EdgeWeight>>> mirror(
-      parts.ghosts.size());
+  const NodeID num_local = static_cast<NodeID>(local_to_global_.size());
+  std::vector<EdgeID> xadj = std::move(parts.owned_rows.xadj);
+  std::vector<NodeID> adj = std::move(parts.owned_rows.adj);
+  std::vector<EdgeWeight> ewgt = std::move(parts.owned_rows.ewgt);
+  xadj.resize(num_local + 1, 0);
+  for (NodeID& t : adj) {
+    const NodeID global = t;
+    t = global_to_local_.find(global);
+    if (t == kInvalidNode) {
+      // Coarse targets can come from a peer's shipped row contribution.
+      throw std::runtime_error("an owned row reaches node " +
+                               std::to_string(global) +
+                               ", which is neither owned nor a ghost here");
+    }
+    if (t >= num_owned_) ++xadj[t + 1];
+  }
+  for (NodeID g = num_owned_; g < num_local; ++g) xadj[g + 1] += xadj[g];
+  std::vector<EdgeID> fill(xadj.begin() + num_owned_, xadj.end() - 1);
+  adj.resize(xadj.back());
+  ewgt.resize(xadj.back());
   for (NodeID i = 0; i < num_owned_; ++i) {
-    for (EdgeID e = parts.owned_rows.xadj[i]; e < parts.owned_rows.xadj[i + 1];
-         ++e) {
-      const NodeID local = global_to_local_.at(parts.owned_rows.adj[e]);
-      if (local >= num_owned_) {
-        mirror[local - num_owned_].emplace_back(i, parts.owned_rows.ewgt[e]);
-      }
+    for (EdgeID e = xadj[i]; e < xadj[i + 1]; ++e) {
+      const NodeID t = adj[e];
+      if (t < num_owned_) continue;
+      EdgeID& slot = fill[t - num_owned_];
+      adj[slot] = i;
+      ewgt[slot++] = ewgt[e];
     }
   }
-
-  std::vector<EdgeID> xadj;
-  xadj.reserve(local_to_global_.size() + 1);
-  xadj.push_back(0);
-  std::vector<NodeID> adj;
-  std::vector<EdgeWeight> ewgt;
-  std::vector<NodeWeight> vwgt;
-  vwgt.reserve(local_to_global_.size());
-  for (NodeID i = 0; i < num_owned_; ++i) {
-    vwgt.push_back(parts.owned_rows.vwgt[i]);
-    for (EdgeID e = parts.owned_rows.xadj[i]; e < parts.owned_rows.xadj[i + 1];
-         ++e) {
-      adj.push_back(global_to_local_.at(parts.owned_rows.adj[e]));
-      ewgt.push_back(parts.owned_rows.ewgt[e]);
-    }
-    xadj.push_back(adj.size());
-  }
-  for (std::size_t g = 0; g < parts.ghosts.size(); ++g) {
-    vwgt.push_back(parts.ghost_weights[g]);
-    for (const auto& [owned_local, w] : mirror[g]) {
-      adj.push_back(owned_local);
-      ewgt.push_back(w);
-    }
-    xadj.push_back(adj.size());
-  }
+  assert(fill.empty() || fill.back() == xadj.back());
+  std::vector<NodeWeight> vwgt = std::move(parts.owned_rows.vwgt);
+  vwgt.insert(vwgt.end(), parts.ghost_weights.begin(),
+              parts.ghost_weights.end());
   csr_ = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
                      std::move(vwgt));
 
@@ -276,14 +308,14 @@ void BlockRowShard::relabel(RowSet core,
   // collects the rest, which become ghosts in ascending global order.
   index_.reserve(core.ids.size());
   for (NodeID local = 0; local < num_core_; ++local) {
-    index_.emplace(core.ids[local], local);
+    index_.insert(core.ids[local], local);
   }
   std::vector<EdgeID> ghost_arcs;
   std::vector<NodeID> ghosts;
   for (EdgeID e = 0; e < core.adj.size(); ++e) {
-    const auto it = index_.find(core.adj[e]);
-    if (it != index_.end()) {
-      core.adj[e] = it->second;
+    const NodeID local = index_.find(core.adj[e]);
+    if (local != kInvalidNode) {
+      core.adj[e] = local;
     } else {
       ghost_arcs.push_back(e);
       ghosts.push_back(core.adj[e]);
@@ -295,9 +327,9 @@ void BlockRowShard::relabel(RowSet core,
   ids_.insert(ids_.end(), ghosts.begin(), ghosts.end());
   index_.reserve(ids_.size());
   for (NodeID local = num_core_; local < ids_.size(); ++local) {
-    index_.emplace(ids_[local], local);
+    index_.insert(ids_[local], local);
   }
-  for (const EdgeID e : ghost_arcs) core.adj[e] = index_.at(core.adj[e]);
+  for (const EdgeID e : ghost_arcs) core.adj[e] = index_.find(core.adj[e]);
 
   slot_.assign(ids_.size(), kInvalidNode);
   resident_.assign(ids_.size(), 0);
@@ -316,14 +348,14 @@ void BlockRowShard::relabel(RowSet core,
 }
 
 NodeID BlockRowShard::intern(NodeID global) {
-  const auto [it, inserted] =
-      index_.emplace(global, static_cast<NodeID>(ids_.size()));
-  if (inserted) {
+  const NodeID fresh = static_cast<NodeID>(ids_.size());
+  const NodeID local = index_.insert(global, fresh);
+  if (local == fresh) {
     ids_.push_back(global);
     slot_.push_back(kInvalidNode);
     resident_.push_back(0);
   }
-  return it->second;
+  return local;
 }
 
 void BlockRowShard::apply_move(NodeID u, BlockID from, BlockID to,

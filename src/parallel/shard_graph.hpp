@@ -8,13 +8,13 @@
 ///
 ///   ShardGraph   — built per contraction level for the SPMD matcher: a
 ///     compact CSR over the rank's owned nodes (union of its virtual
-///     shards) plus the one-hop ghost layer. The owned core comes from
-///     induced_subgraph(); ghosts are taken in through a DynamicOverlay
-///     (the §5.2 hybrid structure) and sealed into the final local CSR.
-///     Ghost node weights and weighted degrees are dynamic per level and
-///     are *not* read off the replica: they arrive over channels from
-///     the owning ranks, so the CommStats counters see every ghost
-///     refresh.
+///     shards) plus the one-hop ghost layer. The finest level is sealed
+///     straight into its CSR: each owned row holds its core arcs (targets
+///     owned here) in input order, then its ghost arcs; each ghost row
+///     holds the mirror arcs back into the owned set. Ghost node weights
+///     and weighted degrees are dynamic per level and are *not* read off
+///     the replica: they arrive over channels from the owning ranks, so
+///     the CommStats counters see every ghost refresh.
 ///
 ///   BlockRowShard — built per uncoarsening level for the SPMD refiner:
 ///     the CSR rows of the nodes currently assigned to this rank's
@@ -27,7 +27,13 @@
 ///     mid-level move their rows between ranks and are appended behind
 ///     it. The store relabels its rows into a rank-local id space once
 ///     per level, so the refiner's per-arc loops index dense arrays and
-///     hash only at ingress.
+///     look global ids up only at ingress.
+///
+/// Both structures translate global ids through a FlatIndex
+/// (util/flat_index.hpp) sized to their resident plus ghost ids, never to
+/// the level's node count. Ids that arrive from a peer go through
+/// peer_local_of(), which rejects an id that is not resident here in
+/// every build.
 ///
 /// Rows travel verbatim (source id space, source arc order; see
 /// RowSet in graph/subgraph.hpp), so every structure assembled from them
@@ -40,7 +46,6 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/static_graph.hpp"
@@ -49,7 +54,7 @@
 #include "parallel/dist_graph.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/wire_format.hpp"
-#include "util/seeded_hash.hpp"
+#include "util/flat_index.hpp"
 #include "util/types.hpp"
 
 namespace kappa {
@@ -66,6 +71,15 @@ struct ShardGraphParts {
   std::vector<NodeWeight> ghost_weights;            ///< parallel to ghosts
   std::vector<EdgeWeight> ghost_weighted_degrees;   ///< parallel to ghosts
 };
+
+/// The checked translation of a global id a peer put on the wire: the
+/// value of \p global in \p index, which must lie in [\p first, \p last).
+/// Over TCP the id is bytes from another process, and an unchecked result
+/// would index out of bounds, so any other outcome throws
+/// std::runtime_error naming the receiving \p rank, the \p level and the
+/// id — in every build.
+NodeID peer_local_of(const FlatIndex& index, NodeID global, NodeID first,
+                     NodeID last, int rank, int level);
 
 /// One rank's resident graph for one matching level: compact CSR over
 /// owned nodes (local ids [0, num_owned())) followed by the one-hop
@@ -109,8 +123,23 @@ class ShardGraph {
 
   /// Local id of a global node; kInvalidNode if not resident here.
   [[nodiscard]] NodeID local_of(NodeID global) const {
-    const auto it = global_to_local_.find(global);
-    return it == global_to_local_.end() ? kInvalidNode : it->second;
+    return global_to_local_.find(global);
+  }
+
+  /// Local id of an owned node that a peer named in a message to \p rank
+  /// at \p level; throws unless it is owned here (see peer_local_of()).
+  [[nodiscard]] NodeID peer_owned_of(NodeID global, int rank,
+                                     int level) const {
+    return peer_local_of(global_to_local_, global, 0, num_owned(), rank,
+                         level);
+  }
+
+  /// Local id of a ghost node that a peer named in a message to \p rank
+  /// at \p level; throws unless it is a ghost here.
+  [[nodiscard]] NodeID peer_ghost_of(NodeID global, int rank,
+                                     int level) const {
+    return peer_local_of(global_to_local_, global, num_owned(), num_local(),
+                         rank, level);
   }
 
   /// Full-row weighted degrees by local id: owned entries computed from
@@ -126,7 +155,7 @@ class ShardGraph {
   NodeID num_owned_ = 0;
   StaticGraph csr_;
   std::vector<NodeID> local_to_global_;
-  hash_map<NodeID, NodeID> global_to_local_;
+  FlatIndex global_to_local_;
   std::vector<EdgeWeight> weighted_degrees_;
 };
 
@@ -161,13 +190,19 @@ void append_row_words(std::vector<std::uint64_t>& words, NodeID id,
 NodeID decode_row_words(const std::vector<std::uint64_t>& words,
                         std::size_t& cursor, GraphRow& row);
 
+/// Decodes one row at \p cursor and appends it (id, weight, arcs) to
+/// \p rows, whose xadj must be non-empty; advances the cursor. Throws
+/// std::runtime_error if the row runs past the end of \p words.
+void decode_row_words(const std::vector<std::uint64_t>& words,
+                      std::size_t& cursor, RowSet& rows);
+
 /// One rank's §5.2 block-row store for one uncoarsening level: the rows
 /// of all nodes currently assigned to the rank's blocks, in a rank-local
 /// id space. The level-start rows are relabeled once: resident rows take
 /// local ids [0, num_core) in ascending global order, their ghost targets
 /// follow (ascending global order too), and row targets are stored as
 /// local ids. Every refinement inner loop then indexes dense arrays; the
-/// global -> local hash is consulted only at ingress (level start, rows
+/// global -> local index is consulted only at ingress (level start, rows
 /// migrating in). Rows are immutable within a level, so a row that leaves
 /// is only tombstoned and a returning node reuses its stored row; rows
 /// migrating in for the first time are appended, their unknown targets
@@ -212,11 +247,10 @@ class BlockRowShard {
   /// Global id of local id \p local.
   [[nodiscard]] NodeID global_of(NodeID local) const { return ids_[local]; }
 
-  /// Local id of \p global, kInvalidNode if unknown here. A hash lookup:
-  /// for ingress paths, never for per-arc loops.
+  /// Local id of \p global, kInvalidNode if unknown here. An index
+  /// lookup: for ingress paths, never for per-arc loops.
   [[nodiscard]] NodeID local_of(NodeID global) const {
-    const auto it = index_.find(global);
-    return it == index_.end() ? kInvalidNode : it->second;
+    return index_.find(global);
   }
 
   /// Whether the row of local id \p local is currently resident here.
@@ -268,7 +302,7 @@ class BlockRowShard {
   int rank_ = 0;
   int num_pes_ = 1;
   std::vector<NodeID> ids_;          ///< local -> global
-  hash_map<NodeID, NodeID> index_;   ///< global -> local (ingress only)
+  FlatIndex index_;                  ///< global -> local (ingress only)
   NodeID num_core_ = 0;
   /// local -> row slot: < num_core_ in core_, else in migrated_ (offset
   /// by num_core_); kInvalidNode when no row was ever held.

@@ -256,19 +256,26 @@ void SpmdRefiner::refine(const DistHierarchy& hierarchy, std::size_t level,
   // retained (and stays bound): it drives the rebalancing insurance and
   // doubles as the incrementally maintained §5.2 migration view.
   if (level == 0) {
-    finest_store_.emplace(hierarchy.distribute_block_rows(0, partition, k));
-    partition.bind(*finest_store_, pe_);
+    {
+      KAPPA_TRACE_SPAN("refine.distribute");
+      finest_store_.emplace(hierarchy.distribute_block_rows(0, partition, k));
+      partition.bind(*finest_store_, pe_);
+    }
     partition_footprint_.merge_peak(partition.footprint());
     footprint_.merge_peak(finest_store_->footprint());
     run_pairwise(*finest_store_, partition, options, level_rng);
     partition_footprint_.merge_peak(partition.footprint());
     return;
   }
-  BlockRowShard store = hierarchy.distribute_block_rows(level, partition, k);
-  partition.bind(store, pe_);
+  std::optional<BlockRowShard> store;
+  {
+    KAPPA_TRACE_SPAN("refine.distribute");
+    store.emplace(hierarchy.distribute_block_rows(level, partition, k));
+    partition.bind(*store, pe_);
+  }
   partition_footprint_.merge_peak(partition.footprint());
-  footprint_.merge_peak(store.footprint());
-  run_pairwise(store, partition, options, level_rng);
+  footprint_.merge_peak(store->footprint());
+  run_pairwise(*store, partition, options, level_rng);
   partition_footprint_.merge_peak(partition.footprint());
   partition.unbind();
 }
@@ -1172,6 +1179,7 @@ PartitionResult run_multilevel_spmd(const StaticGraph& graph,
       KAPPA_TRACE_SPAN("refine.level", level);
       progress_level(static_cast<std::uint32_t>(level));
       if (level + 1 < hierarchy.num_levels()) {
+        KAPPA_TRACE_SPAN("refine.project");
         refined = hierarchy.project(level, refined);
       }
       refiner.refine(hierarchy, level, refined);

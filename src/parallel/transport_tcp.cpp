@@ -292,35 +292,27 @@ class TcpTransport final : public Transport {
       for (Mailbox& inbox : inbox_) inbox.register_source(q);
     }
     establish_mesh();
-    for (int q = 0; q < options.num_ranks; ++q) {
-      if (q == options.rank) continue;
-      receivers_.emplace_back([this, q] { receive_loop(q); });
+    try {
+      for (int q = 0; q < options.num_ranks; ++q) {
+        if (q == options.rank) continue;
+        receivers_.emplace_back([this, q] { receive_loop(q); });
+      }
+      // One full synchronization before handing the endpoint out: every
+      // rank's mesh and receiver threads are live, so the first real
+      // message can never race the rendezvous.
+      barrier();
+    } catch (...) {
+      // A peer died mid-rendezvous: no destructor runs for a throwing
+      // constructor, so the receiver threads must be joined here.
+      shut_down();
+      throw;
     }
-    // One full synchronization before handing the endpoint out: every
-    // rank's mesh and receiver threads are live, so the first real
-    // message can never race the rendezvous.
-    barrier();
   }
 
-  ~TcpTransport() override {
-    disable_watch();  // join the heartbeat thread before touching the fds
-    stopping_.store(true, std::memory_order_release);
-    const std::uint64_t bye[2] = {kFrameBye, 0};
-    for (std::size_t q = 0; q < fds_.size(); ++q) {
-      const int fd = fds_[q];
-      if (fd < 0) continue;
-      try {
-        const std::lock_guard<std::mutex> lock(send_mutexes_[q]);
-        write_full(fd, bye, sizeof bye, "bye");
-      } catch (const TransportError&) {
-        // The peer is already gone; nothing left to say.
-      }
-    }
-    for (std::thread& t : receivers_) t.join();
-    for (const int fd : fds_) {
-      if (fd >= 0) ::close(fd);
-    }
-  }
+  ~TcpTransport() override { shut_down(); }
+
+  TcpTransport(const TcpTransport&) = delete;
+  TcpTransport& operator=(const TcpTransport&) = delete;
 
   [[nodiscard]] int rank() const override { return options_.rank; }
   [[nodiscard]] int size() const override { return options_.num_ranks; }
@@ -449,6 +441,29 @@ class TcpTransport final : public Transport {
   }
 
  private:
+  /// Says BYE to every connected peer, joins the receiver threads and
+  /// closes the sockets (the destructor, and a constructor that fails
+  /// after starting its receivers).
+  void shut_down() {
+    disable_watch();  // join the heartbeat thread before touching the fds
+    stopping_.store(true, std::memory_order_release);
+    const std::uint64_t bye[2] = {kFrameBye, 0};
+    for (std::size_t q = 0; q < fds_.size(); ++q) {
+      const int fd = fds_[q];
+      if (fd < 0) continue;
+      try {
+        const std::lock_guard<std::mutex> lock(send_mutexes_[q]);
+        write_full(fd, bye, sizeof bye, "bye");
+      } catch (const TransportError&) {
+        // The peer is already gone; nothing left to say.
+      }
+    }
+    for (std::thread& t : receivers_) t.join();
+    for (const int fd : fds_) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+
   void establish_mesh() {
     const int p = options_.num_ranks;
     const int rank = options_.rank;

@@ -203,6 +203,16 @@ TEST(LintFixtures, HeartbeatLaneIsolationFires) {
   EXPECT_EQ(report.findings.size(), 3u);
 }
 
+TEST(LintFixtures, NodeHashInLevelStoresFires) {
+  const Report report = lint_fixture("level_stores");
+  EXPECT_EQ(report.exit_code, 1);
+  const auto counts = count_by_rule(report);
+  // hash_map, unordered_set and DynamicOverlay in the level-store file;
+  // the keyed lookup in dist_hierarchy.cpp stays silent.
+  EXPECT_EQ(counts.at("no-node-hash-in-level-stores"), 3);
+  EXPECT_EQ(report.findings.size(), 3u);
+}
+
 TEST(LintFixtures, ValidSuppressionsSilenceFindings) {
   const Report report = lint_fixture("suppress_valid");
   EXPECT_EQ(report.exit_code, 0);
@@ -241,11 +251,12 @@ TEST(LintDriver, SelfCheckEnforcesMinimumTableSize) {
   Options options;
   options.rules_path = tool_dir() + "/rules.kl";
   options.self_check = true;
-  options.min_rules = 14;  // former CI guards + new families + trace + watch
+  // Former CI guards + new families + trace + watch + level stores.
+  options.min_rules = 15;
   std::ostringstream diag;
   const Report report = run(options, diag);
   EXPECT_EQ(report.exit_code, 0) << diag.str();
-  EXPECT_GE(report.rules_loaded, 14u);
+  EXPECT_GE(report.rules_loaded, 15u);
 
   options.min_rules = 1000;
   std::ostringstream diag2;

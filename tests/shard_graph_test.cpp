@@ -7,14 +7,17 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <string>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/partitioner.hpp"
 #include "generators/generators.hpp"
+#include "graph/dynamic_overlay.hpp"
 #include "graph/quotient_graph.hpp"
+#include "graph/subgraph.hpp"
 #include "parallel/dist_graph.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/pair_view.hpp"
@@ -156,6 +159,186 @@ TEST(ShardGraph, GhostRefreshIsCountedInCommStats) {
   for (const CommStats& s : per_rank) {
     EXPECT_GT(s.messages_sent, 0u);
     EXPECT_GT(s.words_sent, 0u);
+  }
+}
+
+/// One rank's finest-level resident graph as the §5.2 overlay intake
+/// sealed it: the induced owned core, the ghosts taken into a
+/// DynamicOverlay as migrated nodes and every rank-remote cross arc added
+/// as an overlay edge in both directions, then every row read back through
+/// the overlay. Ghost weights and degrees are read off the replica (the
+/// channel refresh delivers the same values).
+struct OverlayReference {
+  std::vector<NodeID> local_to_global;
+  std::vector<EdgeID> xadj{0};
+  std::vector<NodeID> adj;
+  std::vector<EdgeWeight> ewgt;
+  std::vector<NodeWeight> vwgt;
+  std::vector<EdgeWeight> weighted_degrees;
+};
+
+OverlayReference overlay_reference(const StaticGraph& g,
+                                   const DistGraph& dist, int rank, int p) {
+  std::vector<NodeID> owned;
+  std::vector<CrossShardArc> ghost_arcs;
+  for (const BlockID s : dist.shards_of_rank(rank, p)) {
+    owned.insert(owned.end(), dist.shard(s).nodes.begin(),
+                 dist.shard(s).nodes.end());
+    for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
+      if (dist.owner_of_node(arc.v, p) != rank) ghost_arcs.push_back(arc);
+    }
+  }
+  std::sort(owned.begin(), owned.end());
+  std::set<NodeID> ghosts;
+  for (const CrossShardArc& arc : ghost_arcs) ghosts.insert(arc.v);
+
+  const Subgraph core = induced_subgraph(g, owned);
+  DynamicOverlay intake(core.graph, core.local_to_global);
+  for (const NodeID v : ghosts) intake.add_migrated_node(v, g.node_weight(v));
+  for (const CrossShardArc& arc : ghost_arcs) {
+    intake.add_migrated_edge(arc.u, arc.v, arc.weight);
+    intake.add_migrated_edge(arc.v, arc.u, arc.weight);
+  }
+
+  OverlayReference ref;
+  ref.local_to_global = owned;
+  ref.local_to_global.insert(ref.local_to_global.end(), ghosts.begin(),
+                             ghosts.end());
+  std::map<NodeID, NodeID> local_of;
+  for (NodeID l = 0; l < ref.local_to_global.size(); ++l) {
+    local_of[ref.local_to_global[l]] = l;
+  }
+  for (const NodeID global : ref.local_to_global) {
+    ref.vwgt.push_back(intake.node_weight(global));
+    ref.weighted_degrees.push_back(g.weighted_degree(global));
+    intake.for_each_neighbor(global, [&](NodeID target, EdgeWeight w) {
+      ref.adj.push_back(local_of.at(target));
+      ref.ewgt.push_back(w);
+    });
+    ref.xadj.push_back(ref.adj.size());
+  }
+  return ref;
+}
+
+// The direct finest-level seal must reproduce the overlay intake's CSR
+// exactly — arc order included, since the matcher streams (and with them
+// the partitions) read the resident rows in order.
+TEST(ShardGraph, FinestSealMatchesOverlayReference) {
+  Rng rng(11);
+  const std::vector<std::pair<std::string, StaticGraph>> instances = {
+      {"rgg", random_geometric_graph(1500, rng)},
+      {"delaunay", make_instance("delaunay11", 5)},
+      {"grid", grid_graph(30, 40)},
+  };
+  for (const auto& [name, g] : instances) {
+    for (int p = 1; p <= 4; ++p) {
+      PERuntime runtime(p, 1);
+      runtime.run([&](PEContext& pe) {
+        const DistGraph dist(g, 8, pe.rank(), p);
+        const ShardGraph shard(g, dist, pe);
+        const OverlayReference ref = overlay_reference(g, dist, pe.rank(), p);
+        SCOPED_TRACE(name + " p=" + std::to_string(p) +
+                     " rank=" + std::to_string(pe.rank()));
+        const StaticGraph& csr = shard.csr();
+        ASSERT_EQ(shard.num_local(), ref.local_to_global.size());
+        ASSERT_EQ(csr.num_arcs(), ref.adj.size());
+        for (NodeID l = 0; l < shard.num_local(); ++l) {
+          ASSERT_EQ(shard.global_of(l), ref.local_to_global[l]);
+          ASSERT_EQ(csr.first_arc(l), ref.xadj[l]) << "local " << l;
+          ASSERT_EQ(csr.last_arc(l), ref.xadj[l + 1]) << "local " << l;
+          EXPECT_EQ(csr.node_weight(l), ref.vwgt[l]) << "local " << l;
+          EXPECT_EQ(shard.weighted_degrees()[l], ref.weighted_degrees[l])
+              << "local " << l;
+        }
+        for (EdgeID e = 0; e < csr.num_arcs(); ++e) {
+          ASSERT_EQ(csr.arc_target(e), ref.adj[e]) << "arc " << e;
+          ASSERT_EQ(csr.arc_weight(e), ref.ewgt[e]) << "arc " << e;
+        }
+      });
+    }
+  }
+}
+
+TEST(ShardGraph, PeerIdTranslationRejectsNonResidentIds) {
+  Rng rng(5);
+  const StaticGraph g = random_geometric_graph(1200, rng);
+  PERuntime runtime(2, 1);
+  runtime.run([&](PEContext& pe) {
+    const DistGraph dist(g, 8, pe.rank(), 2);
+    const ShardGraph shard(g, dist, pe);
+    ASSERT_GT(shard.num_ghost(), 0u);
+    const NodeID owned = shard.global_of(0);
+    const NodeID ghost = shard.global_of(shard.num_owned());
+    EXPECT_EQ(shard.peer_owned_of(owned, pe.rank(), 3), 0u);
+    EXPECT_EQ(shard.peer_ghost_of(ghost, pe.rank(), 3), shard.num_owned());
+
+    // Not resident anywhere, and resident but in the wrong range: both
+    // throw in every build, naming the rank, the level and the id.
+    const NodeID foreign = g.num_nodes() + 17;
+    try {
+      (void)shard.peer_ghost_of(foreign, pe.rank(), 3);
+      ADD_FAILURE() << "a non-resident id must throw";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("rank " + std::to_string(pe.rank())),
+                std::string::npos) << what;
+      EXPECT_NE(what.find("level 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(foreign)), std::string::npos)
+          << what;
+    }
+    EXPECT_THROW((void)shard.peer_owned_of(ghost, pe.rank(), 3),
+                 std::runtime_error);
+    EXPECT_THROW((void)shard.peer_ghost_of(owned, pe.rank(), 3),
+                 std::runtime_error);
+  });
+}
+
+// Coarse rows can carry targets from a peer's shipped contribution; one
+// that is neither owned nor a ghost must throw instead of indexing out of
+// bounds while the local CSR is sealed.
+TEST(ShardGraph, PartsWithAnUnknownTargetThrow) {
+  auto parts_with_target = [](NodeID target) {
+    ShardGraphParts parts;
+    parts.owned = {10, 11};
+    parts.owned_rows.ids = {10, 11};
+    parts.owned_rows.xadj = {0, 2, 3};
+    parts.owned_rows.adj = {11, target, 10};
+    parts.owned_rows.ewgt = {1, 1, 1};
+    parts.owned_rows.vwgt = {1, 1};
+    parts.ghosts = {20};
+    parts.ghost_weights = {1};
+    parts.ghost_weighted_degrees = {1};
+    return parts;
+  };
+  const ShardGraph good(parts_with_target(20));
+  EXPECT_EQ(good.num_ghost(), 1u);
+  EXPECT_EQ(good.csr().num_arcs(), 4u);  // 3 owned arcs + 1 mirror arc
+  EXPECT_THROW((void)ShardGraph(parts_with_target(21)), std::runtime_error);
+}
+
+// A ghost refresh naming a node the receiver does not hold is rejected by
+// the receiver instead of indexing out of bounds.
+TEST(ShardGraph, GhostRefreshRejectsAForeignId) {
+  const StaticGraph g = grid_graph(20, 20);
+  PERuntime runtime(2, 1);
+  try {
+    runtime.run([&](PEContext& pe) {
+      pe.set_halo_level(0);
+      const DistGraph dist(g, 4, pe.rank(), 2);
+      if (pe.rank() == 0) {
+        const ShardGraph shard(g, dist, pe);
+        return;
+      }
+      // Rank 1 answers with a forged refresh triple.
+      (void)pe.receive(0);
+      pe.send(0, {g.num_nodes() + 3, weight_bits(1), weight_bits(1)});
+    });
+    ADD_FAILURE() << "the forged refresh must throw";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("rank 0, level 0"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(g.num_nodes() + 3)), std::string::npos)
+        << what;
   }
 }
 

@@ -1,5 +1,6 @@
 /// \file util_test.cpp
-/// \brief Tests for RNG, priority queues and statistics accumulators.
+/// \brief Tests for RNG, priority queues, the flat id index and statistics
+/// accumulators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <set>
 
 #include "util/addressable_pq.hpp"
+#include "util/flat_index.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 
@@ -183,6 +185,66 @@ TEST_P(AddressablePQProperty, MatchesReferenceImplementation) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AddressablePQProperty,
                          ::testing::Values(2, 5, 17, 64, 257));
+
+// --------------------------------------------------------- flat index ----
+
+TEST(FlatIndex, MissesOnIdsNeverInserted) {
+  FlatIndex index;
+  EXPECT_EQ(index.find(0), kInvalidNode);  // empty table, no slots yet
+  for (NodeID key = 0; key < 1000; key += 2) index.insert(key, key / 2);
+  for (NodeID key = 1; key < 1000; key += 2) {
+    EXPECT_EQ(index.find(key), kInvalidNode) << key;
+  }
+  EXPECT_EQ(index.find(1000), kInvalidNode);
+  EXPECT_EQ(index.find(kInvalidNode - 1), kInvalidNode);
+  EXPECT_EQ(index.size(), 500u);
+}
+
+TEST(FlatIndex, GrowthKeepsEveryEarlierKey) {
+  FlatIndex index(4);
+  const std::size_t initial_capacity = index.capacity();
+  // A stride that collides under a naive modulo hash of a power-of-two
+  // table, so the probe sequences are exercised across each rehash.
+  const NodeID stride = 1024;
+  std::size_t last_capacity = initial_capacity;
+  int rehashes = 0;
+  for (NodeID i = 0; i < 5000; ++i) {
+    EXPECT_EQ(index.insert(i * stride, i), i);
+    if (index.capacity() != last_capacity) {
+      ++rehashes;
+      last_capacity = index.capacity();
+      // Right after crossing the load-factor threshold every key
+      // inserted so far must still be found.
+      for (NodeID j = 0; j <= i; ++j) {
+        ASSERT_EQ(index.find(j * stride), j) << "after growing to "
+                                              << last_capacity;
+      }
+    }
+    EXPECT_LE(2 * index.size(), index.capacity());
+  }
+  EXPECT_GT(rehashes, 5);
+  EXPECT_EQ(index.size(), 5000u);
+  // Re-inserting an existing key keeps its first value.
+  EXPECT_EQ(index.insert(7 * stride, 99), 7u);
+  EXPECT_EQ(index.find(7 * stride), 7u);
+  EXPECT_EQ(index.size(), 5000u);
+}
+
+TEST(FlatIndex, KeysNextToTheEmptyMarker) {
+  FlatIndex index;
+  const NodeID top = kInvalidNode - 1;
+  index.insert(top, 1);
+  index.insert(top - 1, 2);
+  index.insert(0, 3);
+  EXPECT_EQ(index.find(top), 1u);
+  EXPECT_EQ(index.find(top - 1), 2u);
+  EXPECT_EQ(index.find(0), 3u);
+  EXPECT_EQ(index.find(top - 2), kInvalidNode);
+  EXPECT_EQ(index.find(kInvalidNode), kInvalidNode);
+  // A stored value may be kInvalidNode's neighbor too.
+  index.insert(5, top);
+  EXPECT_EQ(index.find(5), top);
+}
 
 // -------------------------------------------------------------- stats ----
 
