@@ -8,8 +8,11 @@
 ///             [--eps=0.03] [--seed=1] [--threads=1] [--pes=0]
 ///             [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]
 ///             [--recv-timeout-ms=60000] [--output=out.part]
-///             [--trace-out=FILE] [--metrics-out=FILE] [--async]
+///             [--trace-out=FILE] [--metrics-out=FILE]
 ///             [--watch-out=FILE] [--stall-timeout-ms=N]
+///
+/// Every argument after <k> must be one of the --key=value options above;
+/// anything else is rejected (exit status 2) before the graph is read.
 ///
 /// --pes=N > 0 runs the pipeline SPMD on a PE runtime of N PEs (the
 /// result is identical for every N under a fixed seed; N changes wall
@@ -39,15 +42,12 @@
 /// stops advancing for N ms. Observer-only: the partition is
 /// byte-identical with watch on or off. KAPPA_WATCH_OUT and
 /// KAPPA_STALL_TIMEOUT_MS override both.
-///
-/// --async swaps the refiner's color-class oracle for the barrier-free
-/// block-lock scheduler (Config::async_refinement) — mainly for reading
-/// traced timelines of the two schedulers side by side.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/metrics_export.hpp"
 #include "core/partitioner.hpp"
@@ -60,22 +60,38 @@
 
 namespace {
 
-const char* arg_value(int argc, char** argv, const char* key) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
+/// The arguments after <k>. Every take() marks the arguments it matched,
+/// so whatever no take() matched is an unknown argument.
+class Options {
+ public:
+  Options(int argc, char** argv)
+      : args_(argv + 3, argv + argc), taken_(args_.size(), false) {}
 
-bool has_flag(int argc, char** argv, const char* key) {
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) return true;
+  /// The value of the first --key=value argument, or nullptr.
+  const char* take(const char* key) {
+    const std::size_t len = std::strlen(key);
+    const char* value = nullptr;
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (std::strncmp(args_[i], key, len) == 0 && args_[i][len] == '=') {
+        if (value == nullptr) value = args_[i] + len + 1;
+        taken_[i] = true;
+      }
+    }
+    return value;
   }
-  return false;
-}
+
+  /// The first argument no take() matched, or nullptr.
+  const char* unknown() const {
+    for (std::size_t i = 0; i < args_.size(); ++i) {
+      if (!taken_[i]) return args_[i];
+    }
+    return nullptr;
+  }
+
+ private:
+  std::vector<const char*> args_;
+  std::vector<bool> taken_;
+};
 
 /// Keeps the merged trace of the run for the export step below.
 struct CaptureTraceSink final : kappa::TraceSink {
@@ -97,9 +113,28 @@ int main(int argc, char** argv) {
                  " [--eps=0.03] [--seed=1] [--threads=1] [--pes=0]"
                  " [--transport=inproc|tcp] [--rank=R] [--peers=HOST:PORT]"
                  " [--recv-timeout-ms=N] [--output=FILE]"
-                 " [--trace-out=FILE] [--metrics-out=FILE] [--async]"
+                 " [--trace-out=FILE] [--metrics-out=FILE]"
                  " [--watch-out=FILE] [--stall-timeout-ms=N]\n",
                  argv[0]);
+    return 2;
+  }
+  Options options(argc, argv);
+  const char* preset_arg = options.take("--preset");
+  const char* eps_arg = options.take("--eps");
+  const char* seed_arg = options.take("--seed");
+  const char* threads_arg = options.take("--threads");
+  const char* pes_arg = options.take("--pes");
+  const char* transport_arg = options.take("--transport");
+  const char* rank_arg = options.take("--rank");
+  const char* peers = options.take("--peers");
+  const char* recv_timeout_arg = options.take("--recv-timeout-ms");
+  const char* output = options.take("--output");
+  const char* trace_out = options.take("--trace-out");
+  const char* metrics_out = options.take("--metrics-out");
+  const char* watch_out = options.take("--watch-out");
+  const char* stall_timeout_arg = options.take("--stall-timeout-ms");
+  if (const char* arg = options.unknown()) {
+    std::fprintf(stderr, "error: unknown argument '%s'\n", arg);
     return 2;
   }
 
@@ -117,7 +152,7 @@ int main(int argc, char** argv) {
   }
 
   Preset preset = Preset::kFast;
-  if (const char* name = arg_value(argc, argv, "--preset")) {
+  if (const char* name = preset_arg) {
     if (std::strcmp(name, "strong") == 0) {
       preset = Preset::kStrong;
     } else if (std::strcmp(name, "minimal") == 0) {
@@ -128,34 +163,26 @@ int main(int argc, char** argv) {
     }
   }
   double eps = 0.03;
-  if (const char* value = arg_value(argc, argv, "--eps")) {
-    eps = std::atof(value);
+  if (eps_arg != nullptr) {
+    eps = std::atof(eps_arg);
   }
 
   Config config = Config::preset(preset, k, eps);
-  if (const char* value = arg_value(argc, argv, "--seed")) {
-    config.seed = std::strtoull(value, nullptr, 10);
+  if (seed_arg != nullptr) {
+    config.seed = std::strtoull(seed_arg, nullptr, 10);
   }
-  if (const char* value = arg_value(argc, argv, "--threads")) {
-    config.num_threads = std::atoi(value);
+  if (threads_arg != nullptr) {
+    config.num_threads = std::atoi(threads_arg);
   }
-  int pes = 0;
-  if (const char* value = arg_value(argc, argv, "--pes")) {
-    pes = std::atoi(value);
-  }
-  if (has_flag(argc, argv, "--async")) {
-    config.async_refinement = true;
-  }
-  const char* trace_out = arg_value(argc, argv, "--trace-out");
-  const char* metrics_out = arg_value(argc, argv, "--metrics-out");
+  const int pes = pes_arg != nullptr ? std::atoi(pes_arg) : 0;
   if (trace_out != nullptr || metrics_out != nullptr) {
     config.trace_enabled = true;
   }
-  if (const char* value = arg_value(argc, argv, "--watch-out")) {
-    config.watch_out = value;
+  if (watch_out != nullptr) {
+    config.watch_out = watch_out;
   }
-  if (const char* value = arg_value(argc, argv, "--stall-timeout-ms")) {
-    config.stall_timeout_ms = std::atoi(value);
+  if (stall_timeout_arg != nullptr) {
+    config.stall_timeout_ms = std::atoi(stall_timeout_arg);
   }
   if ((!config.watch_out.empty() || config.stall_timeout_ms > 0) && pes < 1) {
     std::fprintf(stderr,
@@ -164,7 +191,7 @@ int main(int argc, char** argv) {
   }
 
   bool tcp = false;
-  if (const char* name = arg_value(argc, argv, "--transport")) {
+  if (const char* name = transport_arg) {
     if (std::strcmp(name, "tcp") == 0) {
       tcp = true;
     } else if (std::strcmp(name, "inproc") != 0) {
@@ -179,10 +206,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     tcp_options.num_ranks = pes;
-    if (const char* value = arg_value(argc, argv, "--rank")) {
-      tcp_options.rank = std::atoi(value);
+    if (rank_arg != nullptr) {
+      tcp_options.rank = std::atoi(rank_arg);
     }
-    const char* peers = arg_value(argc, argv, "--peers");
     if (peers == nullptr) {
       std::fprintf(stderr,
                    "error: --transport=tcp needs --peers=HOST:PORT (rank 0's "
@@ -198,8 +224,8 @@ int main(int argc, char** argv) {
     tcp_options.rendezvous_host.assign(peers, colon);
     tcp_options.rendezvous_port =
         static_cast<std::uint16_t>(std::atoi(colon + 1));
-    if (const char* value = arg_value(argc, argv, "--recv-timeout-ms")) {
-      tcp_options.recv_timeout_ms = std::atoi(value);
+    if (recv_timeout_arg != nullptr) {
+      tcp_options.recv_timeout_ms = std::atoi(recv_timeout_arg);
     }
   }
 
@@ -304,7 +330,6 @@ int main(int argc, char** argv) {
   }
 
   if (write_output) {
-    const char* output = arg_value(argc, argv, "--output");
     const std::string output_path =
         output != nullptr
             ? output

@@ -68,22 +68,25 @@ fi
 
 pids=()
 cleanup() {
-  for pid in "${pids[@]:-}"; do
+  for pid in ${pids[@]+"${pids[@]}"}; do
     kill "$pid" 2>/dev/null || true
   done
 }
 trap cleanup EXIT
 
+# ${a[@]+"${a[@]}"} expands an empty array to no argument at all; the
+# "${a[@]:-}" form would pass one empty argument, which kappa_cli rejects.
 for ((rank = 1; rank < p; ++rank)); do
   "$cli" "$graph" "$k" --pes="$p" --transport=tcp --rank="$rank" \
-    --peers=127.0.0.1:"$port" "${obs_flags[@]:-}" "$@" >/dev/null 2>&1 &
+    --peers=127.0.0.1:"$port" ${obs_flags[@]+"${obs_flags[@]}"} "$@" \
+    >/dev/null 2>&1 &
   pids+=("$!")
 done
 
 "$cli" "$graph" "$k" --pes="$p" --transport=tcp --rank=0 \
-  --peers=127.0.0.1:"$port" "${obs_flags[@]:-}" "$@"
+  --peers=127.0.0.1:"$port" ${obs_flags[@]+"${obs_flags[@]}"} "$@"
 
-for pid in "${pids[@]:-}"; do
+for pid in ${pids[@]+"${pids[@]}"}; do
   wait "$pid"
 done
 trap - EXIT

@@ -61,29 +61,6 @@ struct Config {
   /// volume-equivalence property tests ("band depth = infinity reproduces
   /// whole-block shipping bit for bit").
   bool band_shipping = true;
-  /// Run the §5.1 coloring protocol *inside* the SPMD refiner: the k
-  /// block-PEs live as virtual PEs on the refiner's p ranks (a nested
-  /// PESubGroup scope) and exchange REQUEST/REPLY bundles point-to-point,
-  /// so the schedule is computed without replicating the greedy coloring
-  /// loop on every rank. Off = replicated greedy. Both draw the identical
-  /// coloring from the same seed (they are one randomized process), so
-  /// this switch never changes the partition — only where the coloring
-  /// work and its communication happen.
-  bool dist_coloring = true;
-  /// Asynchronous pair scheduling in the SPMD refiner: instead of running
-  /// color classes as global rounds with an all-gathered move delta, a
-  /// pair becomes runnable the moment both of its blocks are free
-  /// (owner-arbitrated block locks over channels) and moved-node deltas
-  /// travel point-to-point only to the ranks that own or cache affected
-  /// rows. Targets wall-clock and cut-no-worse, not bit-identity: results
-  /// depend on message arrival order. Engages only on hierarchy levels
-  /// with >= 4096 nodes (the coarse tail keeps the oracle — supernode
-  /// moves are high-stakes there and the barrier savings negligible) and
-  /// ends each level with one color-class polish iteration on consistent
-  /// state. Off = the deterministic color-class oracle, which stays
-  /// bit-identical and p-invariant; all presets default to the oracle,
-  /// async is the opt-in wall-clock mode.
-  bool async_refinement = false;
   /// Extension (§8 future work): add a min-cut pass on the boundary band
   /// of each pair after the FM local iterations, in the sequential
   /// pairwise refiner and in the SPMD band-limited pair views alike. The

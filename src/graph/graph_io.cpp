@@ -1,9 +1,13 @@
 #include "graph/graph_io.hpp"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "graph/graph_builder.hpp"
 
@@ -60,22 +64,45 @@ StaticGraph read_metis_graph(const std::string& path) {
   if (!next_data_line(in, line, line_no)) {
     throw std::runtime_error("empty graph file: " + path);
   }
+  const std::uint64_t header_line = line_no;
   std::istringstream header(line);
   std::uint64_t n = 0;
   std::uint64_t m = 0;
   std::string fmt = "000";
-  header >> n >> m;
+  if (!(header >> n >> m)) {
+    throw row_error(path, header_line,
+                    "header wants '<nodes> <edges> [fmt]', got '" + line +
+                        "'");
+  }
+  if (n > std::numeric_limits<NodeID>::max()) {
+    throw row_error(path, header_line,
+                    "node count " + std::to_string(n) + " does not fit NodeID");
+  }
   if (header >> fmt) {
+    if (fmt.size() > 3 || fmt.find_first_not_of("01") != std::string::npos) {
+      throw row_error(path, header_line, "bad format field '" + fmt + "'");
+    }
     while (fmt.size() < 3) fmt.insert(fmt.begin(), '0');
   }
   const bool has_edge_weights = fmt[fmt.size() - 1] == '1';
   const bool has_node_weights = fmt[fmt.size() - 2] == '1';
 
+  // Each edge is listed in the rows of both endpoints. The lower
+  // endpoint's listing goes to the builder; the higher endpoint's is kept
+  // as (lower, higher, weight) and checked against it below.
+  struct Listing {
+    NodeID lower;
+    NodeID higher;
+    EdgeWeight w;
+  };
+  std::vector<Listing> mirror;
+  std::vector<std::uint64_t> row_line;  ///< file line of each node's row
   GraphBuilder builder(static_cast<NodeID>(n));
   for (NodeID u = 0; u < n; ++u) {
     if (!next_vertex_line(in, line, line_no)) {
       throw std::runtime_error("unexpected EOF in graph file: " + path);
     }
+    row_line.push_back(line_no);
     std::istringstream row(line);
     if (has_node_weights) {
       NodeWeight w = 1;
@@ -98,7 +125,11 @@ StaticGraph read_metis_graph(const std::string& path) {
         throw row_error(path, line_no, "neighbor id out of range");
       }
       const NodeID v = static_cast<NodeID>(v1 - 1);
-      if (u < v) builder.add_edge(u, v, w);  // each edge appears twice
+      if (u < v) {
+        builder.add_edge(u, v, w);
+      } else if (v < u) {
+        mirror.push_back({v, u, w});
+      }
     }
     // Extraction stops at end of line or at a token that is not a
     // number; the latter must not silently truncate the row.
@@ -108,9 +139,66 @@ StaticGraph read_metis_graph(const std::string& path) {
     }
   }
   StaticGraph graph = builder.finalize();
+
+  // Both listings of every edge must exist and agree on the weight. The
+  // graph rows hold the lower-endpoint listings (parallel listings
+  // merged), sorted by target; merge the mirror listings the same way.
+  std::sort(mirror.begin(), mirror.end(),
+            [](const Listing& a, const Listing& b) {
+              return std::tie(a.lower, a.higher) < std::tie(b.lower, b.higher);
+            });
+  std::size_t merged = 0;
+  for (std::size_t i = 0; i < mirror.size(); ++i) {
+    if (merged > 0 && mirror[merged - 1].lower == mirror[i].lower &&
+        mirror[merged - 1].higher == mirror[i].higher) {
+      mirror[merged - 1].w += mirror[i].w;
+    } else {
+      mirror[merged++] = mirror[i];
+    }
+  }
+  mirror.resize(merged);
+  const auto one_sided = [&](NodeID lister, NodeID other) {
+    return row_error(path, row_line[lister],
+                     "node " + std::to_string(lister + 1) + " lists node " +
+                         std::to_string(other + 1) + ", but node " +
+                         std::to_string(other + 1) + " (line " +
+                         std::to_string(row_line[other]) +
+                         ") does not list it");
+  };
+  std::size_t next = 0;
+  for (NodeID u = 0; u < n; ++u) {
+    for (EdgeID e = graph.first_arc(u); e < graph.last_arc(u); ++e) {
+      const NodeID v = graph.arc_target(e);
+      if (v < u) continue;
+      if (next < mirror.size() &&
+          std::tie(mirror[next].lower, mirror[next].higher) <
+              std::tie(u, v)) {
+        throw one_sided(mirror[next].higher, mirror[next].lower);
+      }
+      if (next == mirror.size() || mirror[next].lower != u ||
+          mirror[next].higher != v) {
+        throw one_sided(u, v);
+      }
+      if (mirror[next].w != graph.arc_weight(e)) {
+        throw row_error(path, row_line[v],
+                        "edge " + std::to_string(u + 1) + "-" +
+                            std::to_string(v + 1) + " has weight " +
+                            std::to_string(mirror[next].w) + " here but " +
+                            std::to_string(graph.arc_weight(e)) +
+                            " in the row of node " + std::to_string(u + 1) +
+                            " (line " + std::to_string(row_line[u]) + ")");
+      }
+      ++next;
+    }
+  }
+  if (next < mirror.size()) {
+    throw one_sided(mirror[next].higher, mirror[next].lower);
+  }
   if (graph.num_edges() != m) {
-    // Tolerate inconsistent headers (some archive files are off) but the
-    // graph itself is well-formed at this point.
+    throw row_error(path, header_line,
+                    "header declares " + std::to_string(m) +
+                        " edges, but the rows list " +
+                        std::to_string(graph.num_edges()));
   }
   return graph;
 }

@@ -22,7 +22,11 @@ namespace kappa {
 /// following n lines lists the (1-based) neighbors of a node, each
 /// optionally preceded by weights according to fmt. `%` starts a comment.
 ///
-/// \throws std::runtime_error on malformed input.
+/// \throws std::runtime_error on malformed input, naming `path:line:`: a
+/// header that does not start with two numbers, an n that does not fit
+/// NodeID, a bad fmt, a non-numeric token, a neighbor out of range, an
+/// edge listed by only one endpoint or with two different weights, and an
+/// edge count that disagrees with the header's m.
 [[nodiscard]] StaticGraph read_metis_graph(const std::string& path);
 
 /// Writes a graph in METIS format (with weights iff any are non-unit).

@@ -14,7 +14,7 @@
 /// queue, and an any-source pop scans only the queue fronts (O(number of
 /// sources)) for the lowest sequence number. The previous single-deque
 /// design rescanned every pending message from the front on each wakeup,
-/// degrading O(q^2) under the async scheduler's p2p-heavy traffic.
+/// degrading O(q^2) when many messages are pending.
 #pragma once
 
 #include <chrono>

@@ -88,22 +88,6 @@ DistPartition DistPartition::from_replica(const Partition& replicated,
   return result;
 }
 
-template <typename Wanted>
-void DistPartition::fetch_local(PEContext& pe, Wanted&& wanted) {
-  assert(level_ != nullptr && "fetching needs the level ownership map");
-  std::vector<std::vector<std::uint64_t>> requests(num_pes_);
-  for (NodeID local = 0; local < local_block_.size(); ++local) {
-    if (!wanted(local)) continue;
-    const NodeID g = store_->global_of(local);
-    const int owner = level_->owner_of_node(g, num_pes_);
-    if (owner != rank_) requests[owner].push_back(g);
-  }
-  rendezvous_lookup(
-      std::move(requests), pe,
-      [&](NodeID g) { return owned_[owned_index(g)]; },
-      [&](NodeID g, BlockID b) { local_block_[store_->local_of(g)] = b; });
-}
-
 void DistPartition::bind(const BlockRowShard& store, PEContext& pe) {
   assert(level_ != nullptr && "binding needs the level ownership map");
   store_ = &store;
@@ -123,9 +107,18 @@ void DistPartition::bind(const BlockRowShard& store, PEContext& pe) {
       local_block_[local] = owned_[owned];
     }
   }
-  fetch_local(pe, [&](NodeID local) {
-    return local_block_[local] == kInvalidBlock;
-  });
+  // Every local id still unknown is fetched from its shard owner.
+  std::vector<std::vector<std::uint64_t>> requests(num_pes_);
+  for (NodeID local = 0; local < local_block_.size(); ++local) {
+    if (local_block_[local] != kInvalidBlock) continue;
+    const NodeID g = store.global_of(local);
+    const int owner = level_->owner_of_node(g, num_pes_);
+    if (owner != rank_) requests[owner].push_back(g);
+  }
+  rendezvous_lookup(
+      std::move(requests), pe,
+      [&](NodeID g) { return owned_[owned_index(g)]; },
+      [&](NodeID g, BlockID b) { local_block_[store.local_of(g)] = b; });
 }
 
 void DistPartition::unbind() {
@@ -175,26 +168,6 @@ void DistPartition::apply_move(NodeID u, BlockID from, BlockID to,
     assert(local_block_[local] == from && "delta disagrees with cached entry");
     local_block_[local] = to;
   }
-}
-
-void DistPartition::update_entry(NodeID u, BlockID to) {
-  assert(to < k_);
-  const NodeID owned = owned_index(u);
-  if (owned != kInvalidNode) owned_[owned] = to;
-  if (store_ == nullptr) return;
-  cover_store_ids();
-  const NodeID local = store_->local_of(u);
-  if (local != kInvalidNode) local_block_[local] = to;
-}
-
-void DistPartition::set_block_weights(std::vector<NodeWeight> weights) {
-  assert(weights.size() == block_weight_.size());
-  block_weight_ = std::move(weights);
-}
-
-void DistPartition::refresh(PEContext& pe) {
-  cover_store_ids();
-  fetch_local(pe, [](NodeID) { return true; });
 }
 
 DistPartition DistPartition::project(const DistLevel& fine,

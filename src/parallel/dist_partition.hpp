@@ -91,12 +91,6 @@ class DistPartition {
     return block_of_local(store_->local_of(global));
   }
 
-  /// Whether this rank can answer block(\p global) locally.
-  [[nodiscard]] bool knows(NodeID global) const {
-    return owned_index(global) != kInvalidNode ||
-           (store_ != nullptr && knows_local(store_->local_of(global)));
-  }
-
   /// Records the block of \p global, which must be a local id of the
   /// bound store (the §5.2 row migrations tell the block owner the blocks
   /// it needs without a fetch). Owned entries must agree — they are
@@ -110,34 +104,6 @@ class DistPartition {
   /// consistent.
   void apply_move(NodeID u, BlockID from, BlockID to, NodeWeight weight);
 
-  /// Targeted entry update of the async scheduler's point-to-point
-  /// invalidations: overwrites whatever entry this rank holds for \p u
-  /// (owned entry, cached entry) without touching the block weights; ids
-  /// the bound store does not know are dropped (no resident row reads
-  /// them, and a row bringing them in ships their blocks). Unlike
-  /// apply_move() it tolerates a stale previous value — mid-iteration the
-  /// async mode keeps entries only *causally* current (every invalidation
-  /// chain for one node is ordered through the lock arbiter), not
-  /// globally synchronized.
-  void update_entry(NodeID u, BlockID to);
-
-  /// Shifts the replicated weight account of one block (async executors
-  /// and partners book their pair's moves; other ranks catch up at the
-  /// iteration-end weight refresh).
-  void adjust_block_weight(BlockID b, NodeWeight delta) {
-    block_weight_[b] += delta;
-  }
-
-  /// Overwrites the replicated O(k) block weights with authoritative
-  /// values (the async iteration-end owner-contribution all-reduce).
-  void set_block_weights(std::vector<NodeWeight> weights);
-
-  /// Shard-owner rank of \p global under this level's ownership map.
-  [[nodiscard]] int shard_owner(NodeID global) const {
-    assert(level_ != nullptr && "ownership map required");
-    return level_->owner_of_node(global, num_pes_);
-  }
-
   [[nodiscard]] NodeWeight block_weight(BlockID b) const {
     return block_weight_[b];
   }
@@ -147,12 +113,6 @@ class DistPartition {
     for (const NodeWeight w : block_weight_) mx = std::max(mx, w);
     return mx;
   }
-
-  /// Re-fetches every non-owned local entry from the shard owners: the
-  /// async iteration-end cache refresh, which replaces possibly-stale
-  /// ghost entries with the owners' authoritative (post-drain) values.
-  /// Collective in lockstep.
-  void refresh(PEContext& pe);
 
   /// Shard-local uncoarsening projection: each rank maps its owned nodes
   /// of \p fine through its slice of the contraction map; the few coarse
@@ -190,11 +150,6 @@ class DistPartition {
 
   /// Grows the cache to the bound store's (ingress-grown) id space.
   void cover_store_ids();
-
-  /// Fetches, from the shard owners, the blocks of the local ids that
-  /// \p wanted admits (owned ids are skipped). Collective in lockstep.
-  template <typename Wanted>
-  void fetch_local(PEContext& pe, Wanted&& wanted);
 
   const DistLevel* level_ = nullptr;  ///< ownership map; null: replica mode
   int num_pes_ = 1;

@@ -139,9 +139,8 @@ PairSide decode_pair_side(std::span<const std::uint64_t> words,
 /// and their weights are never read. View ids ascend with global ids and
 /// the block weights are the caller-supplied *global* pair weights, so
 /// the search on the view is a pure function of the pair and the supplied
-/// state — independent of p and of which rank executes. (The oracle path
-/// passes the globally consistent replicated weights; the async path
-/// passes the block owners' authoritative accounts.)
+/// state — independent of p and of which rank executes. (The refiner
+/// passes the globally consistent replicated weights.)
 PairView build_pair_view(const PairSide& side_a, const PairSide& side_b,
                          NodeWeight weight_a, NodeWeight weight_b,
                          const QuotientEdge& edge, BlockID k,

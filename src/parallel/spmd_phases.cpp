@@ -4,9 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <tuple>
-#include <unordered_map>
 
 #include "graph/dynamic_overlay.hpp"
 #include "graph/metrics.hpp"
@@ -288,34 +286,13 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
   // rebalance insurance); 0 = legacy whole-block shipping.
   const int ship_depth = config_.band_shipping ? options.bfs_depth : 0;
 
-  // Async pays its staleness bill where nodes are heaviest: on the small
-  // coarse levels every block sits in an in-flight pair at once and a
-  // single gain-misjudged move of a contracted supernode can cost more
-  // cut than the level's refinement wins — while the barrier bill those
-  // levels would save is negligible, their wall-clock share being tiny.
-  // So the async scheduler engages only on levels large enough that
-  // per-move stakes are small and the barrier savings real; the coarse
-  // tail keeps the color-class oracle. The level size is collectively
-  // agreed (an all-reduce over the distributed row counts), so every
-  // rank picks the same scheduler.
-  constexpr std::uint64_t kAsyncMinLevelNodes = 4096;
-  bool use_async = false;
-  if (config_.async_refinement) {
-    std::uint64_t my_rows = 0;
-    for (BlockID b = 0; b < k; ++b) {
-      if (store.owns_block(b)) my_rows += store.members(b).size();
-    }
-    use_async = pe_.all_reduce_sum(my_rows) >= kAsyncMinLevelNodes;
-  }
-
   int no_change_streak = 0;
   for (int global = 0; global < options.max_global_iterations; ++global) {
-    KAPPA_TRACE_SPAN("refine.iteration", static_cast<std::uint64_t>(global),
-                     use_async ? 1 : 0);
+    KAPPA_TRACE_SPAN("refine.iteration", static_cast<std::uint64_t>(global));
     progress_iteration(static_cast<std::uint32_t>(global));
     // Quotient graph from all-gathered per-rank contributions — merged
-    // identically on every PE, so both schedulers below start from the
-    // same pair list in the same order.
+    // identically on every PE, so every rank colors the same pair list in
+    // the same order.
     const QuotientGraph quotient = [&] {
       KAPPA_TRACE_SPAN("refine.quotient");
       return gather_quotient(store, partition, k, pe_);
@@ -324,13 +301,8 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
 
     EdgeWeight my_cut_gain = 0;
     NodeWeight my_imbalance_gain = 0;
-    if (use_async) {
-      run_async_iteration(store, partition, options, base_rng, quotient,
-                          global, ship_depth, my_cut_gain, my_imbalance_gain);
-    } else {
-      run_color_classes(store, partition, options, base_rng, quotient, global,
-                        ship_depth, my_cut_gain, my_imbalance_gain);
-    }
+    run_color_classes(store, partition, options, base_rng, quotient, global,
+                      ship_depth, my_cut_gain, my_imbalance_gain);
 
     // Stop rule on the *global* iteration gains (modular arithmetic makes
     // the unsigned all-reduce exact for signed sums).
@@ -342,29 +314,6 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
       no_change_streak = 0;
     } else if (++no_change_streak >= options.stop_no_change) {
       break;
-    }
-  }
-
-  // Async polish: one color-class iteration on the now globally
-  // consistent state. Mid-iteration the async scheduler works against
-  // cached third-block entries that can lag by one invalidation hop, so
-  // an occasional pair move is gain-misjudged; the polish re-runs every
-  // pair with exact state and only improving moves apply, recovering
-  // those moves at the cost of a single synchronized round (instead of
-  // one per iteration, which is the barrier bill this scheduler kills).
-  // All ranks leave the loop in the same iteration (the stop rule is
-  // all-reduced), so the polish collectives stay aligned.
-  if (use_async) {
-    const QuotientGraph quotient = [&] {
-      KAPPA_TRACE_SPAN("refine.quotient");
-      return gather_quotient(store, partition, k, pe_);
-    }();
-    if (!quotient.edges().empty()) {
-      EdgeWeight polish_cut_gain = 0;
-      NodeWeight polish_imbalance_gain = 0;
-      run_color_classes(store, partition, options, base_rng, quotient,
-                        options.max_global_iterations, ship_depth,
-                        polish_cut_gain, polish_imbalance_gain);
     }
   }
   partition_footprint_.merge_peak(partition.footprint());
@@ -390,13 +339,12 @@ void ship_departing_row(BlockRowShard& store, const DistPartition& partition,
 }
 
 /// New-owner half: decodes the row shipped by ship_departing_row() at
-/// \p cursor into the store (its unknown targets get local ids), records
-/// u's new block and hands each target's shipped block to \p learn.
-template <typename Learn>
+/// \p cursor into the store (its unknown targets get local ids) and
+/// records the blocks of u and of each of its targets.
 void take_incoming_row(BlockRowShard& store, DistPartition& partition,
                        NodeID u, BlockID from, BlockID to,
                        const std::vector<std::uint64_t>& words,
-                       std::size_t& cursor, Learn&& learn) {
+                       std::size_t& cursor) {
   GraphRow row;
   const NodeID id = decode_row_words(words, cursor, row);
   assert(id == u);
@@ -404,7 +352,7 @@ void take_incoming_row(BlockRowShard& store, DistPartition& partition,
   store.apply_move(u, from, to, &row);
   partition.learn(u, to);
   for (const NodeID t : row.targets) {
-    learn(t, static_cast<BlockID>(words[cursor++]));
+    partition.learn(t, static_cast<BlockID>(words[cursor++]));
   }
 }
 
@@ -421,17 +369,15 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
   const int rank = pe_.rank();
   const BlockID k = partition.k();
 
-  // The schedule: an edge coloring of the quotient. Both variants draw
-  // the identical coloring from the same forked stream — the in-refiner
-  // §5.1 protocol (virtual block-PEs nested on the p ranks) fills in only
-  // the colors of edges incident to locally hosted blocks, which is
-  // exactly the executor/partner knowledge the loops below read, while
-  // the replicated greedy twin colors everything on every rank.
+  // The schedule: an edge coloring of the quotient by the in-refiner
+  // §5.1 protocol (virtual block-PEs nested on the p ranks). It fills in
+  // only the colors of edges incident to locally hosted blocks — exactly
+  // the executor/partner knowledge the loops below read — and draws the
+  // same coloring the replicated greedy color_quotient_edges() would from
+  // the same forked stream.
   Rng color_rng = base_rng.fork(coloring_fork_tag(global));
   const EdgeColoring coloring =
-      config_.dist_coloring
-          ? distributed_color_quotient_edges(quotient, color_rng, pe_).coloring
-          : color_quotient_edges(quotient, color_rng);
+      distributed_color_quotient_edges(quotient, color_rng, pe_).coloring;
 
   for (int color = 0; color < coloring.num_colors; ++color) {
     KAPPA_TRACE_SPAN("refine.color_class", static_cast<std::uint64_t>(color));
@@ -578,461 +524,11 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
         continue;
       }
       take_incoming_row(store, partition, m.u, m.from, m.to,
-                        inbox[old_owner], cursor[old_owner],
-                        [&](NodeID t, BlockID b) { partition.learn(t, b); });
+                        inbox[old_owner], cursor[old_owner]);
     }
     footprint_.merge_peak(store.footprint());
   }
 }
-
-// ----------------------------------------------- SPMD async refinement ----
-//
-// The barrier-free pair scheduler: rank 0 arbitrates per-block locks, a
-// pair {a, b} is granted the moment both blocks are free, and everything
-// a pair touches travels point-to-point — the partner side, the moved-node
-// deltas, the migrating rows, and targeted cache invalidations to exactly
-// the ranks that own or ghost-cache affected rows. No collective appears
-// between the quotient construction and the iteration-end weight
-// all-reduce (the CI guard greps this section for all_gather).
-//
-// Message flow per granted pair (executor E = owner of a, partner P =
-// owner of b; P == E short-circuits everything locally):
-//
-//   arbiter -> E : GRANT(j)          arbiter -> P : SHIP(j)
-//   P -> E : SIDE(j, weight_b, band)
-//   E refines, applies, books both block weights, then
-//   E -> P : MOVES(j, deltas, departing a-side rows)
-//   E -> * : INVAL(u, to) for a-side movers' interest sets
-//   P applies, books, takes the a-side rows, then
-//   P -> * : INVAL for b-side movers      P -> E : ROWS(j, b-side rows)
-//   E takes the b-side rows and E -> arbiter : DONE(j)
-//
-// Safety rests on three happens-before chains through the mailboxes:
-// (1) pairs sharing a block are serialized by the arbiter (re-grant only
-// after DONE), so each node's invalidation chain is causally ordered;
-// (2) every INVAL is pushed before its pair's DONE is pushed, so when the
-// arbiter has seen every DONE and broadcasts ITER_END, all INVALs already
-// sit ahead of it in the FIFO mailboxes — the loop drains them before it
-// exits; (3) a block's owner books its weight before the block can be
-// re-granted, so the executor always refines with authoritative weights
-// for both blocks. Everything else (third-party ghost caches, third-party
-// weight copies) may go stale mid-iteration and is restored at the
-// iteration seam: one O(k) owner-contribution weight all-reduce plus a
-// ghost-cache refresh against the shard owners.
-
-namespace {
-
-/// Monotonic nanoseconds for the async lock-window events — the
-/// sanctioned trace clock (the timestamps feed the async stats log and
-/// the trace, never partition state).
-std::uint64_t async_now_ns() { return trace_now_ns(); }
-
-// First payload word of every async-scheduler message.
-constexpr std::uint64_t kMsgGrant = 1;    ///< arbiter -> executor: [tag, j]
-constexpr std::uint64_t kMsgShip = 2;     ///< arbiter -> partner: [tag, j]
-constexpr std::uint64_t kMsgSide = 3;     ///< partner -> executor
-constexpr std::uint64_t kMsgMoves = 4;    ///< executor -> partner
-constexpr std::uint64_t kMsgRows = 5;     ///< partner -> executor (the ACK)
-constexpr std::uint64_t kMsgInval = 6;    ///< targeted cache invalidations
-constexpr std::uint64_t kMsgDone = 7;     ///< executor -> arbiter: [tag, j]
-constexpr std::uint64_t kMsgIterEnd = 8;  ///< arbiter -> all: [tag]
-
-/// One committed move of an async pair.
-struct AsyncDelta {
-  NodeID u = 0;
-  BlockID from = 0;
-  BlockID to = 0;
-  NodeWeight w = 0;
-};
-
-}  // namespace
-
-void SpmdRefiner::run_async_iteration(
-    BlockRowShard& store, DistPartition& partition,
-    const PairwiseRefinerOptions& options, const Rng& base_rng,
-    const QuotientGraph& quotient, int global, int ship_depth,
-    EdgeWeight& my_cut_gain, NodeWeight& my_imbalance_gain) {
-  const int p = pe_.size();
-  const int rank = pe_.rank();
-  const BlockID k = partition.k();
-  const std::vector<QuotientEdge>& edges = quotient.edges();
-  const std::size_t num_pairs = edges.size();
-  constexpr int kArbiter = 0;
-  bool participated = false;
-
-  // --- Arbiter state (rank 0 only): the owner-arbitrated block locks and
-  // the ungranted pairs in quotient order. ---
-  std::vector<char> busy(k, 0);
-  std::vector<std::size_t> ungranted;
-  std::size_t done_pairs = 0;
-  auto grant_ready = [&]() {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < ungranted.size(); ++r) {
-      const std::size_t j = ungranted[r];
-      const QuotientEdge& e = edges[j];
-      if (busy[e.a] != 0 || busy[e.b] != 0) {
-        ungranted[w++] = ungranted[r];
-        continue;
-      }
-      busy[e.a] = 1;
-      busy[e.b] = 1;
-      const int executor = BlockRowShard::owner_of_block(e.a, p);
-      const int partner_owner = BlockRowShard::owner_of_block(e.b, p);
-      // GRANT is pushed before SHIP, so the executor's FIFO mailbox
-      // always delivers GRANT(j) ahead of the partner's SIDE(j).
-      pe_.send(executor, {kMsgGrant, j});
-      if (partner_owner != executor) pe_.send(partner_owner, {kMsgShip, j});
-    }
-    ungranted.resize(w);
-    // Lock-table summary for kappa-watch stall reports: how many blocks
-    // the arbiter currently holds locked, how many granted pairs are
-    // still in flight, how many are done this iteration.
-    std::uint64_t locked = 0;
-    for (const char b : busy) locked += (b != 0) ? 1u : 0u;
-    progress_aux(ProgressAux::kAsyncLocksHeld, locked);
-    progress_aux(ProgressAux::kAsyncGrantsInFlight,
-                 num_pairs - ungranted.size() - done_pairs);
-    progress_aux(ProgressAux::kAsyncPairsDone, done_pairs);
-  };
-  if (rank == kArbiter) {
-    ungranted.reserve(num_pairs);
-    for (std::size_t j = 0; j < num_pairs; ++j) ungranted.push_back(j);
-    grant_ready();
-  }
-
-  // Queues INVAL(u -> to) for every rank whose state can reference u —
-  // u's shard owner (the authority the iteration-end refresh asks) and
-  // the owners of the blocks of u's row targets (their resident rows have
-  // u as a target, so their quotient contributions and band filters read
-  // block(u)). The two ranks of the pair itself apply the full delta list
-  // and are skipped. u's row must be resident here.
-  auto queue_invals = [&](NodeID u, BlockID to, int skip,
-                          std::vector<std::vector<std::uint64_t>>& outbox) {
-    std::vector<int> interested;
-    interested.push_back(partition.shard_owner(u));
-    for (const NodeID t : store.row_view(store.local_of(u)).targets) {
-      interested.push_back(
-          BlockRowShard::owner_of_block(partition.block_of_local(t), p));
-    }
-    std::sort(interested.begin(), interested.end());
-    interested.erase(std::unique(interested.begin(), interested.end()),
-                     interested.end());
-    for (const int q : interested) {
-      if (q == rank || q == skip) continue;
-      if (outbox[static_cast<std::size_t>(q)].empty()) {
-        outbox[static_cast<std::size_t>(q)].push_back(kMsgInval);
-      }
-      outbox[static_cast<std::size_t>(q)].push_back(pack_pair(u, to));
-    }
-  };
-  // Fill-if-unknown for the blocks shipped with a migrating row: the
-  // shipped word may be staler than a block this rank already tracks
-  // causally (u's own entry was just set from the delta list).
-  auto fill_if_unknown = [&](NodeID t, BlockID bt) {
-    if (!partition.knows(t)) partition.learn(t, bt);
-  };
-  auto flush_invals = [&](std::vector<std::vector<std::uint64_t>>& outbox) {
-    for (int q = 0; q < p; ++q) {
-      auto& words = outbox[static_cast<std::size_t>(q)];
-      if (!words.empty()) pe_.send(q, std::move(words));
-    }
-  };
-
-  // --- Executor-side in-flight pair state. ---
-  struct InFlight {
-    bool granted = false;
-    bool side_ready = false;
-    std::vector<std::uint64_t> side_b_words;  ///< decoded at execution
-    NodeWeight weight_b = 0;
-  };
-  hash_map<std::size_t, InFlight> inflight;
-  struct AwaitRows {
-    std::vector<AsyncDelta> returning;  ///< this pair's b-side movers
-    std::uint64_t begin_ns = 0;
-  };
-  hash_map<std::size_t, AwaitRows> awaiting;
-
-  // Runs pair j once grant and partner side are in hand: refine on the
-  // pair view, apply the deltas locally (entries plus both blocks' weight
-  // accounts — authoritative for block a here), ship the moves with the
-  // departing a-side rows, and queue the targeted invalidations. With a
-  // remote partner, completion is deferred until its ROWS ACK.
-  auto execute_pair = [&](std::size_t j, InFlight& run) {
-    const QuotientEdge& edge = edges[j];
-    const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
-    const bool local_partner = partner_owner == rank;
-    participated = true;
-    const std::uint64_t begin_ns = async_now_ns();
-
-    pair_scratch_.begin_pair(store);
-    const PairSide side_a =
-        build_pair_side(store, partition, edge.a, edge.b, edge.a,
-                        edge.boundary, ship_depth, pair_scratch_);
-    PairSide side_b;
-    if (local_partner) {
-      side_b = build_pair_side(store, partition, edge.a, edge.b, edge.b,
-                               edge.boundary, ship_depth, pair_scratch_);
-      run.weight_b = partition.block_weight(edge.b);
-    } else {
-      side_b = decode_pair_side(run.side_b_words, pair_scratch_);
-      // The shipped partner band is this pair's transient intake.
-      ShardFootprint with_intake = store.footprint();
-      with_intake.ghost_nodes += side_b.band.size() + side_b.fringe.size();
-      with_intake.arcs += side_b.adj.size();
-      footprint_.merge_peak(with_intake);
-    }
-    PairView view =
-        build_pair_view(side_a, side_b, partition.block_weight(edge.a),
-                        run.weight_b, edge, k, pair_scratch_);
-    ship_stats_.pairs_executed += 1;
-    progress_pair();
-
-    const PairRefineResult result = refine_pair(
-        view.graph, view.partition, edge.a, edge.b, view.seeds, options,
-        base_rng, pair_seed_tag(global, j), /*collect_moves=*/true,
-        &view.movable);
-    my_cut_gain += result.cut_gain;
-    my_imbalance_gain += result.imbalance_gain;
-
-    std::vector<AsyncDelta> deltas;
-    for (const auto& [vu, to] : result.moves) {
-      const BlockID from = view.entry[vu];
-      if (from == static_cast<BlockID>(to)) continue;
-      deltas.push_back({view.to_global[vu], from, static_cast<BlockID>(to),
-                        view.graph.node_weight(vu)});
-    }
-    for (const AsyncDelta& d : deltas) {
-      partition.update_entry(d.u, d.to);
-      partition.adjust_block_weight(d.from, -d.w);
-      partition.adjust_block_weight(d.to, d.w);
-    }
-
-    std::vector<std::vector<std::uint64_t>> inval(
-        static_cast<std::size_t>(p));
-    if (local_partner) {
-      for (const AsyncDelta& d : deltas) {
-        queue_invals(d.u, d.to, /*skip=*/-1, inval);
-        store.apply_move(d.u, d.from, d.to, nullptr);
-      }
-      flush_invals(inval);
-      footprint_.merge_peak(store.footprint());
-      const std::uint64_t end_ns = async_now_ns();
-      async_events_.push_back({edge.a, edge.b, begin_ns, end_ns});
-      if (TraceRecorder* recorder = thread_trace()) {
-        recorder->span("async.pair", begin_ns, end_ns, edge.a, edge.b);
-      }
-      pe_.send(kArbiter, {kMsgDone, j});
-      return;
-    }
-
-    // MOVES carries the delta list followed by the departing a-side rows
-    // (each with its targets' blocks, like the oracle's row migration).
-    std::vector<std::uint64_t> moves{kMsgMoves, j, deltas.size()};
-    AwaitRows wait;
-    wait.begin_ns = begin_ns;
-    for (const AsyncDelta& d : deltas) {
-      moves.push_back(pack_pair(d.u, d.to));
-      moves.push_back(weight_bits(d.w));
-      moves.push_back(d.from);
-    }
-    for (const AsyncDelta& d : deltas) {
-      if (d.from != edge.a) {
-        wait.returning.push_back(d);
-        continue;
-      }
-      queue_invals(d.u, d.to, partner_owner, inval);
-      ship_departing_row(store, partition, d.u, d.from, d.to, moves);
-    }
-    // INVALs before MOVES: the partner's ROWS (and with it this pair's
-    // DONE) can only follow, which is what keeps every INVAL ahead of
-    // ITER_END in its destination mailbox.
-    flush_invals(inval);
-    pe_.send(partner_owner, std::move(moves));
-    awaiting.emplace(j, std::move(wait));
-  };
-
-  // Partner side of MOVES: apply the executor's deltas (entries plus both
-  // weight accounts — authoritative for block b here), take over the
-  // a-side rows, then invalidate for the departing b-side movers and ship
-  // their rows back as the completion ACK.
-  auto handle_moves = [&](const Message& msg) {
-    std::size_t cursor = 1;
-    const std::size_t j = msg.payload[cursor++];
-    const QuotientEdge& edge = edges[j];
-    KAPPA_TRACE_SPAN("async.moves", edge.a, edge.b);
-    const int executor = BlockRowShard::owner_of_block(edge.a, p);
-    const std::size_t num_deltas = msg.payload[cursor++];
-    std::vector<AsyncDelta> deltas(num_deltas);
-    for (AsyncDelta& d : deltas) {
-      const auto [u, to] = unpack_pair(msg.payload[cursor++]);
-      d.u = static_cast<NodeID>(u);
-      d.to = static_cast<BlockID>(to);
-      d.w = bits_weight(msg.payload[cursor++]);
-      d.from = static_cast<BlockID>(msg.payload[cursor++]);
-    }
-    for (const AsyncDelta& d : deltas) {
-      partition.update_entry(d.u, d.to);
-      partition.adjust_block_weight(d.from, -d.w);
-      partition.adjust_block_weight(d.to, d.w);
-    }
-    for (const AsyncDelta& d : deltas) {
-      if (d.from != edge.a) continue;
-      take_incoming_row(store, partition, d.u, d.from, d.to, msg.payload,
-                        cursor, fill_if_unknown);
-    }
-    std::vector<std::vector<std::uint64_t>> inval(
-        static_cast<std::size_t>(p));
-    std::vector<std::uint64_t> rows{kMsgRows, j};
-    for (const AsyncDelta& d : deltas) {
-      if (d.from != edge.b) continue;
-      queue_invals(d.u, d.to, executor, inval);
-      ship_departing_row(store, partition, d.u, d.from, d.to, rows);
-    }
-    flush_invals(inval);  // before the ACK — see the ordering note above
-    pe_.send(executor, std::move(rows));
-    footprint_.merge_peak(store.footprint());
-  };
-
-  // Executor side of ROWS: take over the returning b-side rows, then
-  // report the pair done.
-  auto handle_rows = [&](const Message& msg) {
-    std::size_t cursor = 1;
-    const std::size_t j = msg.payload[cursor++];
-    const QuotientEdge& edge = edges[j];
-    AwaitRows wait = std::move(awaiting.at(j));
-    awaiting.erase(j);
-    for (const AsyncDelta& d : wait.returning) {
-      take_incoming_row(store, partition, d.u, d.from, d.to, msg.payload,
-                        cursor, fill_if_unknown);
-    }
-    footprint_.merge_peak(store.footprint());
-    const std::uint64_t end_ns = async_now_ns();
-    async_events_.push_back({edge.a, edge.b, wait.begin_ns, end_ns});
-    if (TraceRecorder* recorder = thread_trace()) {
-      recorder->span("async.pair", wait.begin_ns, end_ns, edge.a, edge.b);
-    }
-    pe_.send(kArbiter, {kMsgDone, j});
-  };
-
-  // --- The event loop: blocking any-source receives, dispatch on the
-  // tag. The arbiter exits once every pair reported DONE (its mailbox is
-  // provably drained at that point); everyone else exits on ITER_END,
-  // behind which no INVAL can hide. ---
-  bool iter_done = num_pairs == 0;  // caller guards this; exit everywhere
-  while (!iter_done) {
-    const Message msg = pe_.receive(-1);
-    switch (msg.payload[0]) {
-      case kMsgGrant: {
-        const std::size_t j = msg.payload[1];
-        KAPPA_TRACE_INSTANT("async.grant", j);
-        InFlight& run = inflight[j];
-        run.granted = true;
-        const bool local_partner =
-            BlockRowShard::owner_of_block(edges[j].b, p) == rank;
-        if (local_partner || run.side_ready) {
-          execute_pair(j, run);
-          inflight.erase(j);
-        }
-        break;
-      }
-      case kMsgShip: {
-        const std::size_t j = msg.payload[1];
-        const QuotientEdge& edge = edges[j];
-        KAPPA_TRACE_SPAN("async.ship", edge.a, edge.b);
-        const int executor = BlockRowShard::owner_of_block(edge.a, p);
-        const PairSide side =
-            build_pair_side(store, partition, edge.a, edge.b, edge.b,
-                            edge.boundary, ship_depth, pair_scratch_);
-        std::vector<std::uint64_t> words{
-            kMsgSide, j, weight_bits(partition.block_weight(edge.b))};
-        const std::vector<std::uint64_t> body = encode_pair_side(side, store);
-        words.insert(words.end(), body.begin(), body.end());
-        ship_stats_.pairs_shipped += 1;
-        ship_stats_.rows_shipped += side.band.size() + side.fringe.size();
-        ship_stats_.words_shipped += words.size();
-        ship_stats_.whole_block_rows += store.members(edge.b).size();
-        participated = true;
-        pe_.send(executor, std::move(words));
-        break;
-      }
-      case kMsgSide: {
-        const std::size_t j = msg.payload[1];
-        InFlight& run = inflight[j];
-        run.weight_b = bits_weight(msg.payload[2]);
-        run.side_b_words.assign(msg.payload.begin() + 3, msg.payload.end());
-        run.side_ready = true;
-        if (run.granted) {
-          execute_pair(j, run);
-          inflight.erase(j);
-        }
-        break;
-      }
-      case kMsgMoves:
-        handle_moves(msg);
-        break;
-      case kMsgRows:
-        handle_rows(msg);
-        break;
-      case kMsgInval:
-        for (std::size_t i = 1; i < msg.payload.size(); ++i) {
-          const auto [u, to] = unpack_pair(msg.payload[i]);
-          partition.update_entry(static_cast<NodeID>(u),
-                                 static_cast<BlockID>(to));
-        }
-        break;
-      case kMsgDone: {
-        assert(rank == kArbiter);
-        const std::size_t j = msg.payload[1];
-        busy[edges[j].a] = 0;
-        busy[edges[j].b] = 0;
-        ++done_pairs;
-        grant_ready();
-        if (done_pairs == num_pairs) {
-          for (int q = 0; q < p; ++q) {
-            if (q != rank) pe_.send(q, {kMsgIterEnd});
-          }
-          iter_done = true;
-        }
-        break;
-      }
-      case kMsgIterEnd:
-        iter_done = true;
-        break;
-    }
-  }
-  assert(inflight.empty() && awaiting.empty() && ungranted.empty());
-  if (rank == kArbiter) {
-    progress_aux(ProgressAux::kAsyncLocksHeld, 0);
-    progress_aux(ProgressAux::kAsyncGrantsInFlight, 0);
-  }
-  if (!participated && num_pairs > 0) pe_.count_idle_round();
-
-  // --- Iteration seam: restore global consistency. Authoritative O(k)
-  // block weights from the owners' member lists (every move is booked at
-  // both owners before ITER_END, so the member lists are final), then a
-  // ghost-cache refresh against the shard owners — whose entries are
-  // exact because every mover's interest set includes its shard owner and
-  // all INVALs drained before the loop exited. ---
-  std::vector<std::uint64_t> partial(k, 0);
-  for (BlockID b = 0; b < k; ++b) {
-    if (!store.owns_block(b)) continue;
-    for (const NodeID u : store.members(b)) {
-      partial[b] += static_cast<std::uint64_t>(store.row_view(u).weight);
-    }
-  }
-  const std::vector<std::uint64_t> sums =
-      pe_.all_reduce_sum_vec(std::move(partial));
-  std::vector<NodeWeight> weights;
-  weights.reserve(k);
-  for (const std::uint64_t w : sums) {
-    weights.push_back(static_cast<NodeWeight>(w));
-  }
-  partition.set_block_weights(std::move(weights));
-
-  partition.refresh(pe_);
-}
-
-// ------------------------------------------- end SPMD async refinement ----
 
 void SpmdRefiner::rebalance(DistPartition& partition) {
   assert(finest_store_.has_value() &&

@@ -28,29 +28,15 @@
 ///     boundary-band BFS on its resident rows and ships only the band
 ///     plus a one-hop fringe of frozen context nodes — the pair search is
 ///     confined to the band, with exact gains, and migration volume drops
-///     from |block| to |band| per pair. Two schedulers drive the pairs:
-///
-///       * the color-class oracle (default): rounds follow an edge
-///         coloring of the quotient — computed by the §5.1 protocol
-///         running *inside* the refiner (virtual block-PEs nested on the
-///         p ranks, config.dist_coloring) or by the replicated greedy
-///         twin, both drawing the identical coloring from the same seed.
-///         Moved-node deltas (with entry block and weight) plus migrating
-///         rows are exchanged after every color class; every rank applies
-///         every delta, which keeps the sharded partition state and the
-///         replicated O(k) block weights globally consistent.
-///       * the async scheduler (config.async_refinement): no rounds — an
-///         arbiter rank hands out owner-arbitrated block locks, a pair
-///         runs the moment both blocks are free, and the deltas travel
-///         point-to-point only to the executor/partner pair plus the
-///         ranks that own or ghost-cache affected rows (targeted
-///         invalidations). One O(k) weight all-reduce and a ghost-cache
-///         refresh per iteration restore global consistency at the seam.
-///         It engages only on levels above a size threshold — the coarse
-///         tail, where supernode moves are high-stakes and the barrier
-///         bill negligible, keeps the oracle — and finishes with one
-///         color-class polish iteration on consistent state that
-///         recovers gain-misjudged moves.
+///     from |block| to |band| per pair. The pairs are scheduled in
+///     rounds that follow an edge coloring of the quotient, computed by
+///     the §5.1 protocol running *inside* the refiner (virtual block-PEs
+///     nested on the p ranks); it draws the same coloring as the
+///     replicated greedy color_quotient_edges() from the same seed.
+///     Moved-node deltas (with entry block and weight) plus migrating
+///     rows are exchanged after every color class; every rank applies
+///     every delta, which keeps the sharded partition state and the
+///     replicated O(k) block weights globally consistent.
 ///
 ///     The rebalancing insurance loop runs through the same machinery on
 ///     the retained finest-level store, which also seals the §5.2
@@ -62,16 +48,11 @@
 /// globally consistent store + partition state. The physical PE count p
 /// only decides which PE executes which unit, so a fixed seed yields the
 /// identical partition for every p (verified by spmd_pipeline_test and
-/// dist_partition_test, p = 1..9 incl. ragged p and p > k). The async
-/// scheduler deliberately trades this bit-identity for wall-clock: its
-/// outcome depends on message arrival order (verified no worse on cut by
-/// async_refinement_test), while the oracle keeps the reproducibility
-/// contract for every preset.
+/// dist_partition_test, p = 1..9 incl. ragged p and p > k).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "core/phases.hpp"
 #include "graph/quotient_graph.hpp"
@@ -175,45 +156,25 @@ class SpmdRefiner {
   /// This rank's §5.2 pair-shipping volume (band vs. whole block).
   [[nodiscard]] const PairShipStats& ship_stats() const { return ship_stats_; }
 
-  /// Async mode only: the lock windows of the pairs this rank executed
-  /// (execution start to completion ACK). Events sharing a block never
-  /// overlap — the observable form of the arbiter's lock discipline,
-  /// pinned by the lock-safety test and plotted by the wall-clock bench.
-  [[nodiscard]] const std::vector<AsyncPairEvent>& async_events() const {
-    return async_events_;
-  }
-
  private:
   /// One pairwise_refine()-shaped run on the distributed store: global
-  /// iterations over the merged quotient, each executed by the scheduler
-  /// config_ selects (color-class oracle or async block locks), with the
-  /// shared stop rule on the all-reduced iteration gains. In oracle mode
-  /// the outcome mirrors the replicated implementation's loop, RNG forks
-  /// and stop rules exactly — a pure function of (store content,
-  /// partition state, options, rng), independent of p.
+  /// iterations over the merged quotient, each run by run_color_classes(),
+  /// with the shared stop rule on the all-reduced iteration gains. The
+  /// outcome mirrors the replicated implementation's loop, RNG forks and
+  /// stop rules exactly — a pure function of (store content, partition
+  /// state, options, rng), independent of p.
   void run_pairwise(BlockRowShard& store, DistPartition& partition,
                     const PairwiseRefinerOptions& options, const Rng& base_rng);
 
-  /// One oracle iteration: color classes as global rounds, pair execution
+  /// One global iteration: color classes as global rounds, pair execution
   /// at the block-a owner, moved-node delta all-gather and row migration
   /// after every class. The coloring comes from the in-refiner §5.1
-  /// protocol (config_.dist_coloring) or the replicated greedy — the
-  /// identical coloring either way.
+  /// protocol.
   void run_color_classes(BlockRowShard& store, DistPartition& partition,
                          const PairwiseRefinerOptions& options,
                          const Rng& base_rng, const QuotientGraph& quotient,
                          int global, int ship_depth, EdgeWeight& my_cut_gain,
                          NodeWeight& my_imbalance_gain);
-
-  /// One async iteration: the barrier-free event loop with owner-
-  /// arbitrated block locks and point-to-point deltas (see the .cpp
-  /// section marked "SPMD async refinement").
-  void run_async_iteration(BlockRowShard& store, DistPartition& partition,
-                           const PairwiseRefinerOptions& options,
-                           const Rng& base_rng, const QuotientGraph& quotient,
-                           int global, int ship_depth,
-                           EdgeWeight& my_cut_gain,
-                           NodeWeight& my_imbalance_gain);
 
   const StaticGraph& finest_;
   const Config& config_;
@@ -224,7 +185,6 @@ class SpmdRefiner {
   ShardFootprint footprint_;
   ShardFootprint partition_footprint_;
   PairShipStats ship_stats_;
-  std::vector<AsyncPairEvent> async_events_;
   /// Epoch-stamped pair-view scratch, reused across all pairs this rank
   /// builds or ships.
   PairScratch pair_scratch_;

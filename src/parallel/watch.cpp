@@ -298,13 +298,6 @@ void RankWatch::emit_stall_report(const ProgressSnapshot& snap,
     }
   }
   json += "],";
-  json += "\"async\":{";
-  json += j_u64("locks_held", board_.aux(ProgressAux::kAsyncLocksHeld)) + ',';
-  json += j_u64("grants_in_flight",
-                board_.aux(ProgressAux::kAsyncGrantsInFlight)) +
-          ',';
-  json += j_u64("pairs_done", board_.aux(ProgressAux::kAsyncPairsDone));
-  json += "},";
   json += "\"peers\":" + rank_table_json(now_ns);
   json += '}';
   if (sink_ != nullptr) sink_->append(json);
@@ -340,13 +333,7 @@ void RankWatch::emit_stall_report(const ProgressSnapshot& snap,
     }
     if (!any) text += " (empty)";
   }
-  text += "\n  async: locks_held=" +
-          std::to_string(board_.aux(ProgressAux::kAsyncLocksHeld)) +
-          " grants_in_flight=" +
-          std::to_string(board_.aux(ProgressAux::kAsyncGrantsInFlight)) +
-          " pairs_done=" +
-          std::to_string(board_.aux(ProgressAux::kAsyncPairsDone)) + "\n";
-  text += "  peers:";
+  text += "\n  peers:";
   {
     const std::uint64_t timeout_ns =
         static_cast<std::uint64_t>(options_.stall_timeout_ms) * 1000000ull;

@@ -106,11 +106,10 @@ TEST_F(IOTest, RejectsMissingFileAndBadContent) {
   std::remove(path.c_str());
 }
 
-TEST_F(IOTest, RejectsTrailingJunkNamingTheLine) {
-  // A non-numeric token used to end the row silently: "2 x" read as the
-  // single neighbor 2 and the run went on. Every malformed token must be
-  // rejected with a message naming the file line (comments count).
-  const std::string path = temp_path("junk.graph");
+TEST_F(IOTest, RejectsMalformedInputNamingTheLine) {
+  // Every malformed file must be rejected with a message naming the file
+  // line (comments count). Each case used to be read as some other graph.
+  const std::string path = temp_path("malformed.graph");
   const struct {
     const char* body;
     const char* line;
@@ -119,6 +118,18 @@ TEST_F(IOTest, RejectsTrailingJunkNamingTheLine) {
       {"3 2\n2\n1 3\n2 2.5\n", ":4: "},            // non-integer
       {"3 2 1\n2 7\n1 3 x\n2 7\n", ":3: "},        // junk edge weight
       {"3 2 10\n1 2\nw 1 3\n1 2\n", ":3: "},       // junk node weight
+      // A non-numeric header read as an empty graph.
+      {"% c\nabc def\n", ":2: "},
+      {"3 2 abc\n2\n1 3\n2\n", ":1: "},  // junk fmt field
+      {"4294967296 0\n", ":1: "},        // n beyond NodeID
+      // The rows list two edges, the header declares three.
+      {"4 3\n2\n1 3\n2\n\n", ":1: "},
+      // Node 1 lists node 3, node 3 does not list node 1: the edge was
+      // kept or dropped depending on which endpoint has the lower id.
+      {"4 2\n2 3\n1\n\n\n", ":2: "},
+      {"4 2\n2\n1\n1\n\n", ":4: "},  // the same from the higher endpoint
+      // Edge 2-3 carries weight 7 in row 2 and 9 in row 3; one won silently.
+      {"3 2 001\n2 1\n1 1 3 7\n2 9\n", ":4: "},
   };
   for (const auto& c : cases) {
     {

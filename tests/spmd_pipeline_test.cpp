@@ -229,12 +229,19 @@ TEST(SpmdPipeline, SurfacesCommunicationStats) {
   EXPECT_GT(result.comm.barriers, 0u);
 
   std::uint64_t words = 0;
+  std::uint64_t idle = 0;
   for (const CommStats& s : result.comm_per_pe) {
     words += s.words_sent;
     // Collectives synchronize every PE, so each rank hits barriers.
     EXPECT_GT(s.barriers, 0u);
+    EXPECT_EQ(s.idle_ns(), s.collective_idle_ns + s.recv_idle_ns);
+    idle += s.idle_ns();
   }
   EXPECT_EQ(words, result.comm.words_sent);
+  // Four ranks synchronizing a multilevel pipeline cannot all have
+  // waited zero nanoseconds.
+  EXPECT_GT(idle, 0u);
+  EXPECT_EQ(result.comm.idle_ns(), idle);
 }
 
 TEST(SpmdPipeline, ResidentGraphMemoryIsShardedNotReplicated) {
