@@ -97,6 +97,8 @@ StaticGraph read_metis_graph(const std::string& path) {
   };
   std::vector<Listing> mirror;
   std::vector<std::uint64_t> row_line;  ///< file line of each node's row
+  /// Row that last listed each node: catches a neighbor listed twice.
+  std::vector<NodeID> listed_by(n, kInvalidNode);
   GraphBuilder builder(static_cast<NodeID>(n));
   for (NodeID u = 0; u < n; ++u) {
     if (!next_vertex_line(in, line, line_no)) {
@@ -125,9 +127,19 @@ StaticGraph read_metis_graph(const std::string& path) {
         throw row_error(path, line_no, "neighbor id out of range");
       }
       const NodeID v = static_cast<NodeID>(v1 - 1);
+      if (v == u) {
+        throw row_error(path, line_no,
+                        "node " + std::to_string(u + 1) + " lists itself");
+      }
+      if (listed_by[v] == u) {
+        throw row_error(path, line_no,
+                        "node " + std::to_string(u + 1) + " lists node " +
+                            std::to_string(v + 1) + " twice");
+      }
+      listed_by[v] = u;
       if (u < v) {
         builder.add_edge(u, v, w);
-      } else if (v < u) {
+      } else {
         mirror.push_back({v, u, w});
       }
     }
@@ -141,22 +153,13 @@ StaticGraph read_metis_graph(const std::string& path) {
   StaticGraph graph = builder.finalize();
 
   // Both listings of every edge must exist and agree on the weight. The
-  // graph rows hold the lower-endpoint listings (parallel listings
-  // merged), sorted by target; merge the mirror listings the same way.
+  // graph rows hold the lower-endpoint listings sorted by target; sort the
+  // mirror listings the same way. (No row lists a neighbor twice, so
+  // neither side has parallel listings to merge.)
   std::sort(mirror.begin(), mirror.end(),
             [](const Listing& a, const Listing& b) {
               return std::tie(a.lower, a.higher) < std::tie(b.lower, b.higher);
             });
-  std::size_t merged = 0;
-  for (std::size_t i = 0; i < mirror.size(); ++i) {
-    if (merged > 0 && mirror[merged - 1].lower == mirror[i].lower &&
-        mirror[merged - 1].higher == mirror[i].higher) {
-      mirror[merged - 1].w += mirror[i].w;
-    } else {
-      mirror[merged++] = mirror[i];
-    }
-  }
-  mirror.resize(merged);
   const auto one_sided = [&](NodeID lister, NodeID other) {
     return row_error(path, row_line[lister],
                      "node " + std::to_string(lister + 1) + " lists node " +

@@ -103,9 +103,10 @@ struct ShardFootprint {
 /// refinement, accumulated per rank. Sender-side counters compare what
 /// band shipping put on the wire against the whole block the legacy mode
 /// would have sent for the same pairs; the executor side counts the pairs
-/// it ran. With band shipping on, `rows_shipped` tracks the band (plus
-/// its one-hop fringe stubs), bounded by — and on large blocks far below
-/// — `whole_block_rows`.
+/// it ran. Either owner of a pair may be its executor, so a rank ships
+/// the sides of the pairs its partner owners execute. With band shipping
+/// on, `rows_shipped` tracks the band (plus its one-hop fringe stubs),
+/// bounded by — and on large blocks far below — `whole_block_rows`.
 struct PairShipStats {
   std::uint64_t pairs_executed = 0;   ///< pairs this rank executed
   std::uint64_t pairs_shipped = 0;    ///< partner sides this rank sent

@@ -7,7 +7,9 @@
 /// rounds until a termination all-reduce reports no uncolored edges.
 /// It demonstrates that the coloring needs only *local* synchronization
 /// between collaborating PEs (plus the termination detection), exactly as
-/// the paper claims.
+/// the paper claims. The SPMD refiner does not run it: the quotient graph
+/// is replicated on every rank, so each rank draws the identical coloring
+/// locally with color_quotient_edges().
 #pragma once
 
 #include "graph/quotient_graph.hpp"
@@ -26,25 +28,5 @@ struct DistributedColoringResult {
 
 [[nodiscard]] DistributedColoringResult distributed_color_quotient_edges(
     const QuotientGraph& quotient, std::uint64_t seed);
-
-/// The same protocol nested inside an existing SPMD scope: the k block-PEs
-/// live as virtual PEs on the caller's p ranks (block b on rank
-/// owner_of_block(b, p), the refiner's ownership map) and exchange their
-/// REQUEST/REPLY messages through a PESubGroup, bundled per neighbor rank
-/// and per round. Every rank of \p pe must call this collectively with the
-/// same quotient and rng.
-///
-/// Block b draws from rng.fork(b), so the result is — for every p — the
-/// identical coloring color_quotient_edges(quotient, rng) computes; only
-/// the colors of edges incident to a block hosted on this rank are filled
-/// in (the rest stay -1), which is exactly what the rank needs to act as
-/// executor or partner. num_colors is globally agreed via an all-reduce.
-struct RefinerColoringResult {
-  EdgeColoring coloring;  ///< partial: colors of locally hosted blocks' edges
-  std::size_t rounds = 0;
-};
-
-[[nodiscard]] RefinerColoringResult distributed_color_quotient_edges(
-    const QuotientGraph& quotient, const Rng& rng, PEContext& pe);
 
 }  // namespace kappa

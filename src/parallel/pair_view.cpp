@@ -54,7 +54,8 @@ void sort_by_global(std::vector<NodeID>& ids, GlobalOf&& global_of) {
 
 PairSide build_pair_side(const BlockRowShard& store,
                          const DistPartition& partition, BlockID a, BlockID b,
-                         BlockID side, const std::vector<NodeID>& stale_seeds,
+                         BlockID side, std::span<const NodeID> candidates,
+                         const std::vector<NodeID>& stale_seeds,
                          int ship_depth, PairScratch& scratch) {
   const BlockID other = side == a ? b : a;
   PairSide out;
@@ -93,14 +94,32 @@ PairSide build_pair_side(const BlockRowShard& store,
       frontier.push_back(u);
     }
   };
-  for (const NodeID u : store.members(side)) {
+  auto faces_other = [&](NodeID u) {
     for (const NodeID t : store.row_view(u).targets) {
-      if (partition.block_of_local(t) == other) {
-        seed(u);
-        break;
-      }
+      if (partition.block_of_local(t) == other) return true;
+    }
+    return false;
+  };
+  for (const NodeID u : candidates) {
+    // A candidate that left the side may no longer be resident here; its
+    // cached block says so without touching the row. The band marks skip
+    // repeated candidates before the row scan.
+    if (partition.block_of_local(u) == side && !in_band.marked(u) &&
+        faces_other(u)) {
+      seed(u);
     }
   }
+#ifndef NDEBUG
+  // The candidate seeds must be exactly the member scan's.
+  std::size_t scanned = 0;
+  for (const NodeID u : store.members(side)) {
+    if (faces_other(u)) {
+      assert(in_band.marked(u) && "boundary member missing from candidates");
+      ++scanned;
+    }
+  }
+  assert(scanned == out.band.size() && "candidate seed is no boundary member");
+#endif
   for (const NodeID s : stale_seeds) {
     // Stale seed lists are global ids: translate once, skip seeds that
     // left the side (their rows are no longer resident here).

@@ -87,6 +87,7 @@ class PairScratch {
  private:
   friend PairSide build_pair_side(const BlockRowShard&, const DistPartition&,
                                   BlockID, BlockID, BlockID,
+                                  std::span<const NodeID>,
                                   const std::vector<NodeID>&, int,
                                   PairScratch&);
   friend PairView build_pair_view(const PairSide&, const PairSide&,
@@ -114,9 +115,16 @@ class PairScratch {
 /// cross-side step of the free two-block band BFS lands on a current
 /// pair-boundary node, so the union of the two per-side bands equals the
 /// band the sequential boundary_band() would compute on a replica.
+///
+/// The current pair boundary is found among \p candidates, which must
+/// hold every member of \p side with a target outside it (the store's
+/// boundary candidates, or all of store.members(side)); entries that are
+/// not members or do not face the partner block are skipped. Debug builds
+/// check the result against a scan of every member.
 PairSide build_pair_side(const BlockRowShard& store,
                          const DistPartition& partition, BlockID a, BlockID b,
-                         BlockID side, const std::vector<NodeID>& stale_seeds,
+                         BlockID side, std::span<const NodeID> candidates,
+                         const std::vector<NodeID>& stale_seeds,
                          int ship_depth, PairScratch& scratch);
 
 /// Wire layout of a pair side built on \p store: [band count, band

@@ -279,7 +279,7 @@ ShardFootprint ShardGraph::footprint() const {
 BlockRowShard::BlockRowShard(const StaticGraph& level,
                              const std::vector<BlockID>& assignment, BlockID k,
                              int rank, int num_pes)
-    : rank_(rank), num_pes_(num_pes), members_(k) {
+    : rank_(rank), num_pes_(num_pes), members_(k), candidates_(k) {
   std::vector<NodeID> mine;
   std::vector<BlockID> blocks;
   for (NodeID u = 0; u < level.num_nodes(); ++u) {
@@ -293,7 +293,7 @@ BlockRowShard::BlockRowShard(const StaticGraph& level,
 BlockRowShard::BlockRowShard(RowSet core,
                              const std::vector<BlockID>& row_blocks, BlockID k,
                              int rank, int num_pes)
-    : rank_(rank), num_pes_(num_pes), members_(k) {
+    : rank_(rank), num_pes_(num_pes), members_(k), candidates_(k) {
   relabel(std::move(core), row_blocks);
 }
 
@@ -364,8 +364,16 @@ void BlockRowShard::apply_move(NodeID u, BlockID from, BlockID to,
   const bool to_mine = owns_block(to);
   if (!from_mine && !to_mine) return;
   const NodeID local = intern(u);
-  if (from_mine) erase_member(from, local);
-  if (to_mine) insert_member(to, local);
+  if (from_mine) {
+    erase_member(from, local);
+    for (const NodeID t : row_view(local).targets) {
+      if (is_resident(t)) candidates_[from].push_back(t);
+    }
+  }
+  if (to_mine) {
+    insert_member(to, local);
+    candidates_[to].push_back(local);
+  }
   if (from_mine && !to_mine) {
     resident_arcs_ -= row_view(local).targets.size();
     resident_nodes_ -= 1;

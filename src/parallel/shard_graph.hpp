@@ -278,12 +278,30 @@ class BlockRowShard {
                                         rows.ewgt.data() + rows.xadj[s + 1])};
   }
 
+  /// Boundary candidates of owned block \p b: a superset of its members
+  /// whose row has a target outside \p b — the rows a pair-side build
+  /// scans for its seeds instead of every member. It may repeat ids and
+  /// hold nodes that have left \p b since; readers filter by block.
+  [[nodiscard]] const std::vector<NodeID>& candidates(BlockID b) const {
+    return candidates_[b];
+  }
+
+  /// Replaces the candidates of owned block \p b (the quotient
+  /// construction's row scan rebuilds them once per iteration).
+  void set_candidates(BlockID b, std::vector<NodeID> candidates) {
+    candidates_[b] = std::move(candidates);
+  }
+
   /// Applies one committed move u: \p from -> \p to (\p u a global id).
-  /// Only membership and row residency are updated: a row leaving for a
-  /// block owned elsewhere is tombstoned (read it with row_view() first to
-  /// ship it), and \p incoming_row must be set when \p to is owned here
-  /// and no row of u was held here before this level (shipped by the old
-  /// owner).
+  /// Only membership, row residency and the boundary candidates are
+  /// updated: a row leaving for a block owned elsewhere is tombstoned
+  /// (read it with row_view() first to ship it), and \p incoming_row must
+  /// be set when \p to is owned here and no row of u was held here before
+  /// this level (shipped by the old owner). The move keeps the candidates
+  /// a superset of the boundary: u joins \p to's list, and when \p from
+  /// is owned here, u's resident neighbors join \p from's list (those
+  /// still in \p from now reach u across the border; readers drop the
+  /// rest).
   void apply_move(NodeID u, BlockID from, BlockID to,
                   const GraphRow* incoming_row);
 
@@ -313,6 +331,7 @@ class BlockRowShard {
   RowSet core_;
   RowSet migrated_;
   std::vector<std::vector<NodeID>> members_;  ///< per block, by global id
+  std::vector<std::vector<NodeID>> candidates_;  ///< per block, unordered
   std::uint64_t resident_nodes_ = 0;
   std::uint64_t resident_arcs_ = 0;
 };

@@ -4,11 +4,11 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <tuple>
 
 #include "graph/dynamic_overlay.hpp"
 #include "graph/metrics.hpp"
-#include "parallel/dist_coloring.hpp"
 #include "parallel/pair_view.hpp"
 #include "parallel/wire_format.hpp"
 #include "refinement/edge_coloring.hpp"
@@ -111,7 +111,7 @@ Partition SpmdInitialPartitioner::partition(const StaticGraph& coarsest) {
 
 // -------------------------------------------------------- SPMD refinement ----
 
-QuotientGraph gather_quotient(const BlockRowShard& store,
+QuotientGraph gather_quotient(BlockRowShard& store,
                               const DistPartition& partition, BlockID k,
                               PEContext& pe) {
   // Local contributions per block pair: the minimal (node, arc position)
@@ -135,12 +135,18 @@ QuotientGraph gather_quotient(const BlockRowShard& store,
   std::vector<BlockID> touched;
   for (BlockID bu = 0; bu < k; ++bu) {
     if (!store.owns_block(bu)) continue;
+    // The same scan rebuilds bu's boundary candidates: its rows with a
+    // foreign target.
+    std::vector<NodeID> candidates;
     for (const NodeID lu : store.members(bu)) {
       const NodeID u = store.global_of(lu);
       const GraphRowView row = store.row_view(lu);
       for (std::size_t pos = 0; pos < row.targets.size(); ++pos) {
         const BlockID bv = partition.block_of_local(row.targets[pos]);
         if (bv == bu) continue;
+        if (candidates.empty() || candidates.back() != lu) {
+          candidates.push_back(lu);
+        }
         PairContribution*& c = slot[bv];
         if (c == nullptr) {
           const auto key = std::minmax(bu, bv);
@@ -159,6 +165,7 @@ QuotientGraph gather_quotient(const BlockRowShard& store,
     }
     for (const BlockID bv : touched) slot[bv] = nullptr;
     touched.clear();
+    store.set_candidates(bu, std::move(candidates));
   }
 
   std::vector<std::uint64_t> words;
@@ -358,6 +365,41 @@ void take_incoming_row(BlockRowShard& store, DistPartition& partition,
 
 }  // namespace
 
+std::vector<int> assign_pair_executors(const QuotientGraph& quotient,
+                                       const std::vector<std::size_t>& pairs,
+                                       int num_pes) {
+  const auto cost = [&](std::size_t i) {
+    return quotient.edges()[pairs[i]].boundary.size() + 1;
+  };
+  // Longest processing time first: by cost descending, ties in class
+  // (= edge index) order.
+  std::vector<std::size_t> order(pairs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return cost(x) > cost(y);
+                   });
+  std::vector<int> lpt(pairs.size());
+  std::vector<int> owner_a(pairs.size());
+  std::vector<std::size_t> load(num_pes, 0);
+  std::vector<std::size_t> load_a(num_pes, 0);
+  for (const std::size_t i : order) {
+    const QuotientEdge& edge = quotient.edges()[pairs[i]];
+    const int ra = BlockRowShard::owner_of_block(edge.a, num_pes);
+    const int rb = BlockRowShard::owner_of_block(edge.b, num_pes);
+    lpt[i] = load[rb] < load[ra] ? rb : ra;
+    load[lpt[i]] += cost(i);
+    owner_a[i] = ra;
+    load_a[ra] += cost(i);
+  }
+  // The greedy can lose to the plain owner-of-a map (a pair moved onto a
+  // rank that later pairs have no choice but to join); keep the better.
+  const auto busiest = [](const std::vector<std::size_t>& l) {
+    return *std::max_element(l.begin(), l.end());
+  };
+  return busiest(load) <= busiest(load_a) ? lpt : owner_a;
+}
+
 void SpmdRefiner::run_color_classes(BlockRowShard& store,
                                     DistPartition& partition,
                                     const PairwiseRefinerOptions& options,
@@ -369,75 +411,79 @@ void SpmdRefiner::run_color_classes(BlockRowShard& store,
   const int rank = pe_.rank();
   const BlockID k = partition.k();
 
-  // The schedule: an edge coloring of the quotient by the in-refiner
-  // §5.1 protocol (virtual block-PEs nested on the p ranks). It fills in
-  // only the colors of edges incident to locally hosted blocks — exactly
-  // the executor/partner knowledge the loops below read — and draws the
-  // same coloring the replicated greedy color_quotient_edges() would from
-  // the same forked stream.
-  Rng color_rng = base_rng.fork(coloring_fork_tag(global));
-  const EdgeColoring coloring =
-      distributed_color_quotient_edges(quotient, color_rng, pe_).coloring;
+  // The schedule: an edge coloring of the quotient. The quotient is
+  // replicated, so every rank draws the identical coloring locally — the
+  // one the §5.1 protocol (parallel/dist_coloring.hpp) would compute from
+  // the same stream, without its per-round all-reduce and exchanges.
+  const EdgeColoring coloring = [&] {
+    KAPPA_TRACE_SPAN("refine.coloring");
+    return color_quotient_edges(quotient,
+                                base_rng.fork(coloring_fork_tag(global)));
+  }();
 
   for (int color = 0; color < coloring.num_colors; ++color) {
     KAPPA_TRACE_SPAN("refine.color_class", static_cast<std::uint64_t>(color));
     const std::vector<std::size_t> pairs = coloring.color_class(color);
-    // No empty-class skip: with the partial in-refiner coloring a rank
-    // may see none of a class's pairs but must still join the class's
-    // delta collective below. (Full-coloring classes are never globally
-    // empty — the greedy min-free rule uses every color below
-    // num_colors.)
+    const std::vector<int> executors =
+        assign_pair_executors(quotient, pairs, p);
     bool participated = false;
 
-    // A pair {a, b} is executed by the owner of block a; the owner of
-    // block b ships its side of the pair — the §5.2 boundary band plus
-    // fringe, not the whole block. All sends of the class are posted
-    // before any receive; per-source FIFO delivery pairs them with the
-    // executor's receives, which follow the same class order.
-    for (const std::size_t j : pairs) {
-      const QuotientEdge& edge = quotient.edges()[j];
-      const int executor = BlockRowShard::owner_of_block(edge.a, p);
-      const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
-      if (partner_owner == rank && executor != rank) {
+    // A pair {a, b} is executed by one of its two block owners, as
+    // assigned above; the other owner ships its side of the pair — the
+    // §5.2 boundary band plus fringe, not the whole block. All sends of
+    // the class are posted before any receive; per-source FIFO delivery
+    // pairs them with the executors' receives, which follow the same
+    // class order.
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (executors[i] == rank) continue;
+      const QuotientEdge& edge = quotient.edges()[pairs[i]];
+      for (const BlockID side : {edge.a, edge.b}) {
+        if (!store.owns_block(side)) continue;
         KAPPA_TRACE_SPAN("pair.ship", edge.a, edge.b);
-        const PairSide side =
-            build_pair_side(store, partition, edge.a, edge.b, edge.b,
-                            edge.boundary, ship_depth, pair_scratch_);
-        std::vector<std::uint64_t> words = encode_pair_side(side, store);
+        const PairSide shipped = build_pair_side(
+            store, partition, edge.a, edge.b, side, store.candidates(side),
+            edge.boundary, ship_depth, pair_scratch_);
+        std::vector<std::uint64_t> words = encode_pair_side(shipped, store);
         ship_stats_.pairs_shipped += 1;
-        ship_stats_.rows_shipped += side.band.size() + side.fringe.size();
+        ship_stats_.rows_shipped += shipped.band.size() + shipped.fringe.size();
         ship_stats_.words_shipped += words.size();
-        ship_stats_.whole_block_rows += store.members(edge.b).size();
+        ship_stats_.whole_block_rows += store.members(side).size();
         participated = true;
-        pe_.send(executor, std::move(words));
+        pe_.send(executors[i], std::move(words));
       }
     }
 
     std::vector<std::uint64_t> delta_words;
-    for (const std::size_t j : pairs) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (executors[i] != rank) continue;
+      const std::size_t j = pairs[i];
       const QuotientEdge& edge = quotient.edges()[j];
-      if (BlockRowShard::owner_of_block(edge.a, p) != rank) continue;
       KAPPA_TRACE_SPAN("pair.execute", edge.a, edge.b);
-      const int partner_owner = BlockRowShard::owner_of_block(edge.b, p);
       PairView view = [&] {
         KAPPA_TRACE_SPAN("pair.view", edge.a, edge.b);
         pair_scratch_.begin_pair(store);
-        const PairSide side_a =
-            build_pair_side(store, partition, edge.a, edge.b, edge.a,
-                            edge.boundary, ship_depth, pair_scratch_);
-        const PairSide side_b =
-            partner_owner == rank
-                ? build_pair_side(store, partition, edge.a, edge.b, edge.b,
-                                  edge.boundary, ship_depth, pair_scratch_)
-                : decode_pair_side(pe_.receive(partner_owner).payload,
-                                   pair_scratch_);
-        if (partner_owner != rank) {
+        // The executor builds the sides it owns and decodes the other.
+        // The view is ordered by global id, so it does not depend on
+        // which owner executes.
+        const auto side_of = [&](BlockID side) {
+          if (store.owns_block(side)) {
+            return build_pair_side(store, partition, edge.a, edge.b, side,
+                                   store.candidates(side), edge.boundary,
+                                   ship_depth, pair_scratch_);
+          }
+          PairSide shipped = decode_pair_side(
+              pe_.receive(BlockRowShard::owner_of_block(side, p)).payload,
+              pair_scratch_);
           // The shipped partner band is this pair's transient intake.
           ShardFootprint with_intake = store.footprint();
-          with_intake.ghost_nodes += side_b.band.size() + side_b.fringe.size();
-          with_intake.arcs += side_b.adj.size();
+          with_intake.ghost_nodes +=
+              shipped.band.size() + shipped.fringe.size();
+          with_intake.arcs += shipped.adj.size();
           footprint_.merge_peak(with_intake);
-        }
+          return shipped;
+        };
+        const PairSide side_a = side_of(edge.a);
+        const PairSide side_b = side_of(edge.b);
         return build_pair_view(side_a, side_b, partition.block_weight(edge.a),
                                partition.block_weight(edge.b), edge, k,
                                pair_scratch_);

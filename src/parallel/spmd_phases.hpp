@@ -23,16 +23,18 @@
 ///     owners to the owners of their nodes' blocks (§5.2 BlockRowShard
 ///     data distribution, each row with its block word); the quotient
 ///     graph is merged from per-rank contributions and a pair {a, b} is
-///     executed by block a's owner on a pair-local view. Partner-block
-///     shipping is band-limited (§5.2): each owner runs the bounded
-///     boundary-band BFS on its resident rows and ships only the band
-///     plus a one-hop fringe of frozen context nodes — the pair search is
+///     executed on a pair-local view by one of its two block owners.
+///     Partner-block shipping is band-limited (§5.2): each owner runs the
+///     bounded boundary-band BFS on its resident rows, seeded from the
+///     store's boundary candidates, and ships only the band plus a
+///     one-hop fringe of frozen context nodes — the pair search is
 ///     confined to the band, with exact gains, and migration volume drops
-///     from |block| to |band| per pair. The pairs are scheduled in
-///     rounds that follow an edge coloring of the quotient, computed by
-///     the §5.1 protocol running *inside* the refiner (virtual block-PEs
-///     nested on the p ranks); it draws the same coloring as the
-///     replicated greedy color_quotient_edges() from the same seed.
+///     from |block| to |band| per pair. The pairs are scheduled in rounds
+///     that follow an edge coloring of the replicated quotient, which
+///     every rank computes locally with color_quotient_edges() (the
+///     coloring the §5.1 protocol draws from the same seed), and within a
+///     round each pair goes to the less-loaded of its two owners
+///     (assign_pair_executors()).
 ///     Moved-node deltas (with entry block and weight) plus migrating
 ///     rows are exchanged after every color class; every rank applies
 ///     every delta, which keeps the sharded partition state and the
@@ -53,6 +55,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/phases.hpp"
 #include "graph/quotient_graph.hpp"
@@ -70,11 +73,25 @@ namespace kappa {
 /// blocks answered by the sharded partition state's ghost-block cache —
 /// and the all-gathered contributions are merged identically on every PE:
 /// same edge order (first-encounter order of a row scan), same cut
-/// weights, same sorted boundary lists. Exposed for the shard-graph test
-/// suite.
-[[nodiscard]] QuotientGraph gather_quotient(const BlockRowShard& store,
+/// weights, same sorted boundary lists. The same row scan rebuilds the
+/// store's boundary candidates of every owned block. Exposed for the
+/// shard-graph test suite.
+[[nodiscard]] QuotientGraph gather_quotient(BlockRowShard& store,
                                             const DistPartition& partition,
                                             BlockID k, PEContext& pe);
+
+/// The executor of every pair of one color class: \p pairs are quotient
+/// edge indices in class order, the result is parallel to it and names
+/// one of the pair's two block owners among \p num_pes ranks. Longest
+/// processing time first: the pairs, by cost |boundary| + 1 descending
+/// (ties in class order), each go to the owner with less cost assigned so
+/// far (ties to block a's owner). Should that leave the busiest rank with
+/// more cost than giving every pair to block a's owner, the owner-of-a map
+/// is returned instead. A pure function of replicated data, so every rank
+/// derives the same map.
+[[nodiscard]] std::vector<int> assign_pair_executors(
+    const QuotientGraph& quotient, const std::vector<std::size_t>& pairs,
+    int num_pes);
 
 class SpmdCoarsener {
  public:
@@ -153,7 +170,8 @@ class SpmdRefiner {
     return partition_footprint_;
   }
 
-  /// This rank's §5.2 pair-shipping volume (band vs. whole block).
+  /// This rank's §5.2 pair-shipping volume (band vs. whole block): the
+  /// sides it shipped to the executing owner of their pair.
   [[nodiscard]] const PairShipStats& ship_stats() const { return ship_stats_; }
 
  private:
@@ -166,10 +184,10 @@ class SpmdRefiner {
   void run_pairwise(BlockRowShard& store, DistPartition& partition,
                     const PairwiseRefinerOptions& options, const Rng& base_rng);
 
-  /// One global iteration: color classes as global rounds, pair execution
-  /// at the block-a owner, moved-node delta all-gather and row migration
-  /// after every class. The coloring comes from the in-refiner §5.1
-  /// protocol.
+  /// One global iteration: color classes of the locally computed
+  /// coloring as global rounds, pair execution at the owner
+  /// assign_pair_executors() picks, moved-node delta all-gather and row
+  /// migration after every class.
   void run_color_classes(BlockRowShard& store, DistPartition& partition,
                          const PairwiseRefinerOptions& options,
                          const Rng& base_rng, const QuotientGraph& quotient,

@@ -11,6 +11,7 @@
 #include "refinement/edge_coloring.hpp"
 #include "refinement/flow_refiner.hpp"
 #include "util/seeded_hash.hpp"
+#include "util/trace.hpp"
 
 namespace kappa {
 
@@ -153,6 +154,7 @@ PairRefineResult refine_pair(const StaticGraph& graph, Partition& partition,
     }
   }
   if (options.use_flow) {
+    KAPPA_TRACE_SPAN("pair.flow", a, b);
     // One min-cut pass on a freshly computed band (the flow model
     // requires the band to contain the entire current pair boundary).
     const std::vector<NodeID> boundary =

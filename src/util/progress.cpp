@@ -96,8 +96,6 @@ void ProgressBoard::pop_span(std::uint64_t now_ns) {
   advance(now_ns);
 }
 
-void ProgressBoard::touch(std::uint64_t now_ns) { advance(now_ns); }
-
 ProgressSnapshot ProgressBoard::snapshot() const {
   ProgressSnapshot snap;
   const std::uint64_t word = word_.load(std::memory_order_relaxed);

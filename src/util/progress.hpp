@@ -77,9 +77,6 @@ class ProgressBoard {
   /// kMaxSpanDepth is counted but not stored.
   void push_span(const char* name, std::uint64_t now_ns);
   void pop_span(std::uint64_t now_ns);
-  /// Bumps the advance counter without changing any field — "still alive,
-  /// still moving" evidence from sites with nothing structured to report.
-  void touch(std::uint64_t now_ns);
 
   // --- reader side (any thread) ------------------------------------------
   [[nodiscard]] ProgressSnapshot snapshot() const;

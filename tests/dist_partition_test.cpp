@@ -3,10 +3,11 @@
 /// band-limited pair shipping: p-invariance/bit-identity over the full
 /// runtime-size range with band shipping on, the depth = infinity /
 /// whole-block equivalence property, the sub-linear per-rank partition
-/// memory, the shipped-volume accounting, and the stale-seed hardening of
-/// the band BFS.
+/// memory, the shipped-volume accounting, the stale-seed hardening of
+/// the band BFS, and the executor balancing of a color class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -14,9 +15,12 @@
 #include "generators/generators.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/metrics.hpp"
+#include "graph/quotient_graph.hpp"
 #include "graph/validation.hpp"
 #include "parallel/pe_runtime.hpp"
+#include "parallel/spmd_phases.hpp"
 #include "refinement/band.hpp"
+#include "refinement/edge_coloring.hpp"
 
 namespace kappa {
 namespace {
@@ -219,6 +223,88 @@ TEST(BoundaryBand, StaleSeedsAreSkippedNotExpanded) {
       boundary_band_from_seeds(g, partition, 0, 1, seeds, 4, &movable);
   EXPECT_EQ(confined.size(), 3u);
   for (const NodeID u : confined) EXPECT_NE(u, 3u);
+}
+
+/// Cost of the busiest rank when \p pairs of \p quotient run at
+/// \p executors (cost = |boundary| + 1, the balancer's model).
+std::size_t busiest_cost(const QuotientGraph& quotient,
+                         const std::vector<std::size_t>& pairs,
+                         const std::vector<int>& executors, int p) {
+  std::vector<std::size_t> load(p, 0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    load[executors[i]] += quotient.edges()[pairs[i]].boundary.size() + 1;
+  }
+  return *std::max_element(load.begin(), load.end());
+}
+
+TEST(PairExecutors, EveryRankDerivesTheSameBalancedMap) {
+  // Every color class of a real quotient, for ragged p and p > k: each
+  // rank derives the same map on its own (the per-source send/receive
+  // pairing of a class relies on it), each pair runs at one of its two
+  // block owners, and the busiest rank carries no more cost than under
+  // the owner-of-a rule.
+  const StaticGraph g = make_instance("rgg14", 3);
+  const BlockID k = 16;
+  Config config = Config::preset(Preset::kMinimal, k);
+  config.seed = 9;
+  const Partition partition =
+      Partitioner(Context::sequential(config)).partition(g).partition;
+  const QuotientGraph quotient(g, partition);
+  const EdgeColoring coloring = color_quotient_edges(quotient, Rng(4));
+  ASSERT_GT(coloring.num_colors, 2);
+
+  bool some_class_improved = false;
+  for (const int p : {2, 3, 4, 5, 8, 17}) {
+    for (int color = 0; color < coloring.num_colors; ++color) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " color " +
+                   std::to_string(color));
+      const std::vector<std::size_t> pairs = coloring.color_class(color);
+      std::vector<std::vector<std::uint64_t>> maps(p);
+      PERuntime runtime(p, 1);
+      runtime.run([&](PEContext& pe) {
+        const std::vector<int> mine =
+            assign_pair_executors(quotient, pairs, pe.size());
+        const auto all = pe.all_gather_vectors(
+            std::vector<std::uint64_t>(mine.begin(), mine.end()));
+        if (pe.rank() == 0) maps = all;
+      });
+      for (int r = 1; r < p; ++r) ASSERT_EQ(maps[r], maps[0]) << "rank " << r;
+      const std::vector<int> executors(maps[0].begin(), maps[0].end());
+      std::vector<int> owner_a;
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const QuotientEdge& edge = quotient.edges()[pairs[i]];
+        const int ra = BlockRowShard::owner_of_block(edge.a, p);
+        const int rb = BlockRowShard::owner_of_block(edge.b, p);
+        EXPECT_TRUE(executors[i] == ra || executors[i] == rb) << "pair " << i;
+        owner_a.push_back(ra);
+      }
+      const std::size_t balanced = busiest_cost(quotient, pairs, executors, p);
+      const std::size_t by_owner_a = busiest_cost(quotient, pairs, owner_a, p);
+      EXPECT_LE(balanced, by_owner_a);
+      some_class_improved = some_class_improved || balanced < by_owner_a;
+    }
+  }
+  EXPECT_TRUE(some_class_improved);
+}
+
+TEST(PairExecutors, FallsBackToOwnerOfAWhenTheGreedyLoses) {
+  // p = 2 (even blocks on rank 0, odd on rank 1). The greedy puts pair
+  // {0, 2} (cost 4) on rank 0, so {4, 5} (cost 3) goes to rank 1, where
+  // {1, 3} and {7, 9} (cost 3 each, both blocks there) must follow: rank 1
+  // would carry 9 against 7 for the owner-of-a map, which is kept.
+  const std::vector<QuotientEdge> edges = {
+      {0, 2, 1, {0, 1, 2}}, {4, 5, 1, {3, 4}}, {1, 3, 1, {5, 6}},
+      {7, 9, 1, {7, 8}}};
+  const QuotientGraph quotient(10, edges);
+  const std::vector<std::size_t> pairs = {0, 1, 2, 3};
+  const std::vector<int> executors = assign_pair_executors(quotient, pairs, 2);
+  EXPECT_EQ(executors, (std::vector<int>{0, 0, 1, 1}));
+  EXPECT_EQ(busiest_cost(quotient, pairs, executors, 2), 7u);
+
+  // Without the forced pairs the greedy wins: {4, 5} moves to rank 1.
+  const std::vector<std::size_t> free_pairs = {0, 1};
+  EXPECT_EQ(assign_pair_executors(quotient, free_pairs, 2),
+            (std::vector<int>{0, 1}));
 }
 
 }  // namespace

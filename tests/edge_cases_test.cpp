@@ -186,9 +186,9 @@ TEST(FailureInjection, ValidateColoringCatchesConflicts) {
 /// The replicated greedy and the message-passing implementation of the
 /// §5.1 protocol are one randomized process with two executions: block b
 /// always draws from Rng(seed).fork(b). The colorings must therefore be
-/// *identical*, not merely both proper — so the SPMD refiner, which
-/// schedules by the protocol, follows the same color classes as the
-/// sequential refiner, which schedules by the greedy.
+/// *identical*, not merely both proper — which is what lets both
+/// refiners color locally with the greedy and still follow the schedule
+/// the §5.1 protocol defines.
 class ColoringAgreement : public ::testing::TestWithParam<BlockID> {};
 
 TEST_P(ColoringAgreement, ProtocolReproducesGreedyExactly) {

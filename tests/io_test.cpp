@@ -130,6 +130,10 @@ TEST_F(IOTest, RejectsMalformedInputNamingTheLine) {
       {"4 2\n2\n1\n1\n\n", ":4: "},  // the same from the higher endpoint
       // Edge 2-3 carries weight 7 in row 2 and 9 in row 3; one won silently.
       {"3 2 001\n2 1\n1 1 3 7\n2 9\n", ":4: "},
+      // A self-loop was dropped.
+      {"3 1\n1 2\n1\n\n", ":2: "},
+      // A neighbor listed twice was merged into one edge of weight 2.
+      {"3 1\n2 2\n1 1\n\n", ":2: "},
   };
   for (const auto& c : cases) {
     {

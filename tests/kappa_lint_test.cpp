@@ -138,6 +138,15 @@ TEST(LintFixtures, SectionGatherViolationsFire) {
   EXPECT_EQ(report.findings.size(), 3u);
 }
 
+TEST(LintFixtures, RefinementColoringProtocolFires) {
+  const Report report = lint_fixture("coloring");
+  EXPECT_EQ(report.exit_code, 1);
+  // The protocol call in the refiner fires; the local greedy there and
+  // the standalone protocol in dist_coloring.cpp stay silent.
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].rule, "no-refinement-coloring-protocol");
+}
+
 TEST(LintFixtures, RemovedEntryPointsFire) {
   const Report report = lint_fixture("entrypoints");
   EXPECT_EQ(report.exit_code, 1);
@@ -250,12 +259,13 @@ TEST(LintDriver, SelfCheckEnforcesMinimumTableSize) {
   Options options;
   options.rules_path = tool_dir() + "/rules.kl";
   options.self_check = true;
-  // Former CI guards + new families + trace + watch + level stores.
-  options.min_rules = 14;
+  // Former CI guards + new families + trace + watch + level stores +
+  // refinement coloring.
+  options.min_rules = 15;
   std::ostringstream diag;
   const Report report = run(options, diag);
   EXPECT_EQ(report.exit_code, 0) << diag.str();
-  EXPECT_GE(report.rules_loaded, 14u);
+  EXPECT_GE(report.rules_loaded, 15u);
 
   options.min_rules = 1000;
   std::ostringstream diag2;

@@ -10,7 +10,6 @@
 #include "graph/quotient_graph.hpp"
 #include "parallel/dist_coloring.hpp"
 #include "parallel/pe_runtime.hpp"
-#include "parallel/shard_graph.hpp"
 #include "util/random.hpp"
 
 namespace kappa {
@@ -259,53 +258,6 @@ TEST(DistributedColoring, DenseQuotientGraph) {
   const DistributedColoringResult result =
       distributed_color_quotient_edges(q, /*seed=*/7);
   EXPECT_EQ(validate_coloring(q, result.coloring), "");
-}
-
-TEST(DistributedColoring, InRefinerOverloadAgreesWithGreedyForEveryP) {
-  // The nested (PESubGroup) variant hosts the k block-PEs on p ranks. For
-  // every p it must hand each rank the exact greedy coloring restricted to
-  // its hosted blocks' edges: non-hosted edges stay -1, hosted ones carry
-  // the greedy color, and num_colors is globally agreed. This is the
-  // contract the refiner's executor/partner roles read the schedule from.
-  Rng graph_rng(3);
-  const StaticGraph g = random_geometric_graph(900, 0.08, graph_rng);
-  const BlockID k = 10;
-  std::vector<BlockID> assignment(g.num_nodes());
-  Rng arng(1);
-  for (auto& b : assignment) b = static_cast<BlockID>(arng.bounded(k));
-  const Partition p(g, std::move(assignment), k);
-  const QuotientGraph q(g, p);
-  ASSERT_GT(q.edges().size(), 30u);
-
-  const EdgeColoring greedy = color_quotient_edges(q, Rng(5));
-
-  for (const int num_pes : {1, 2, 3, 5, 8}) {
-    PERuntime runtime(num_pes);
-    std::vector<RefinerColoringResult> per_rank(
-        static_cast<std::size_t>(num_pes));
-    runtime.run([&](PEContext& pe) {
-      per_rank[pe.rank()] = distributed_color_quotient_edges(q, Rng(5), pe);
-    });
-    for (int r = 0; r < num_pes; ++r) {
-      const EdgeColoring& local = per_rank[r].coloring;
-      EXPECT_EQ(local.num_colors, greedy.num_colors)
-          << "p=" << num_pes << " rank " << r;
-      ASSERT_EQ(local.color_of_edge.size(), q.edges().size());
-      for (std::size_t e = 0; e < q.edges().size(); ++e) {
-        const QuotientEdge& edge = q.edges()[e];
-        const bool hosted =
-            BlockRowShard::owner_of_block(edge.a, num_pes) == r ||
-            BlockRowShard::owner_of_block(edge.b, num_pes) == r;
-        if (hosted) {
-          EXPECT_EQ(local.color_of_edge[e], greedy.color_of_edge[e])
-              << "p=" << num_pes << " rank " << r << " edge " << e;
-        } else {
-          EXPECT_EQ(local.color_of_edge[e], -1)
-              << "p=" << num_pes << " rank " << r << " edge " << e;
-        }
-      }
-    }
-  }
 }
 
 TEST(DistributedColoring, EmptyQuotient) {

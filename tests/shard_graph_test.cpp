@@ -381,8 +381,8 @@ TEST(BlockRowShard, GatherQuotientReproducesSequentialConstruction) {
   for (const int p : {1, 2, 3}) {
     PERuntime runtime(p, 1);
     runtime.run([&](PEContext& pe) {
-      const BlockRowShard store(g, partition.assignment(), partition.k(),
-                                pe.rank(), p);
+      BlockRowShard store(g, partition.assignment(), partition.k(),
+                          pe.rank(), p);
       // The sharded partition state in its replica-filled oracle form:
       // the quotient construction reads target blocks from its cache by
       // local id exactly as the pipeline does.
@@ -533,6 +533,37 @@ void expect_store_matches_replica(const BlockRowShard& store,
   EXPECT_EQ(store.footprint().owned_nodes, resident_nodes);
 }
 
+/// Moves \p u to block \p to on every rank's store and partition state
+/// the way the refiner's delta exchange and row migration do: the old
+/// owner's row is shipped to the new owner, and every rank applies the
+/// move.
+void apply_replica_move(std::vector<BlockRowShard>& stores,
+                        std::vector<DistPartition>& partitions,
+                        std::vector<BlockID>& assignment, const StaticGraph& g,
+                        NodeID u, BlockID to) {
+  const int p = static_cast<int>(stores.size());
+  const BlockID from = assignment[u];
+  const int old_owner = BlockRowShard::owner_of_block(from, p);
+  const int new_owner = BlockRowShard::owner_of_block(to, p);
+  GraphRow shipped;
+  if (old_owner != new_owner) {
+    shipped = global_row(stores[old_owner], u);
+  }
+  assignment[u] = to;
+  for (int rank = 0; rank < p; ++rank) {
+    partitions[rank].apply_move(u, from, to, g.node_weight(u));
+    if (rank == new_owner && old_owner != new_owner) {
+      stores[rank].apply_move(u, from, to, &shipped);
+      partitions[rank].learn(u, to);
+      for (const NodeID t : shipped.targets) {
+        partitions[rank].learn(t, assignment[t]);
+      }
+    } else {
+      stores[rank].apply_move(u, from, to, nullptr);
+    }
+  }
+}
+
 TEST(BlockRowShard, LocalIdStoreRoundTripMatchesReplica) {
   // The rank-local id space under every residency change a level can
   // see: a row migrating in (fresh local ids for its unknown targets), a
@@ -561,26 +592,7 @@ TEST(BlockRowShard, LocalIdStoreRoundTripMatchesReplica) {
   }
 
   auto move = [&](NodeID u, BlockID to) {
-    const BlockID from = assignment[u];
-    const int old_owner = BlockRowShard::owner_of_block(from, p);
-    const int new_owner = BlockRowShard::owner_of_block(to, p);
-    GraphRow shipped;
-    if (old_owner != new_owner) {
-      shipped = global_row(stores[old_owner], u);
-    }
-    assignment[u] = to;
-    for (int rank = 0; rank < p; ++rank) {
-      partitions[rank].apply_move(u, from, to, g.node_weight(u));
-      if (rank == new_owner && old_owner != new_owner) {
-        stores[rank].apply_move(u, from, to, &shipped);
-        partitions[rank].learn(u, to);
-        for (const NodeID t : shipped.targets) {
-          partitions[rank].learn(t, assignment[t]);
-        }
-      } else {
-        stores[rank].apply_move(u, from, to, nullptr);
-      }
-    }
+    apply_replica_move(stores, partitions, assignment, g, u, to);
     for (int rank = 0; rank < p; ++rank) {
       SCOPED_TRACE("rank " + std::to_string(rank) + " after moving " +
                    std::to_string(u));
@@ -647,10 +659,12 @@ TEST(PairView, EpochWrapLeaksNoStaleMarks) {
 
   auto build = [&](const QuotientEdge& edge, PairScratch& scratch) {
     scratch.begin_pair(store);
-    const PairSide a = build_pair_side(store, partition, edge.a, edge.b,
-                                       edge.a, edge.boundary, depth, scratch);
-    const PairSide b = build_pair_side(store, partition, edge.a, edge.b,
-                                       edge.b, edge.boundary, depth, scratch);
+    const PairSide a =
+        build_pair_side(store, partition, edge.a, edge.b, edge.a,
+                        store.members(edge.a), edge.boundary, depth, scratch);
+    const PairSide b =
+        build_pair_side(store, partition, edge.a, edge.b, edge.b,
+                        store.members(edge.b), edge.boundary, depth, scratch);
     return build_pair_view(a, b, replica.block_weight(edge.a),
                            replica.block_weight(edge.b), edge, k, scratch);
   };
@@ -675,6 +689,99 @@ TEST(PairView, EpochWrapLeaksNoStaleMarks) {
     expect_same_view(build(first, scratch), reference_first);
     expect_same_view(build(second, scratch), reference_second);
   }
+}
+
+TEST(PairView, CandidateSidesMatchTheMemberScanAfterRandomMoves) {
+  // The boundary candidates are rebuilt by the quotient construction and
+  // then only extended by moves. After any sequence of moves they must
+  // still cover every boundary member, so a side seeded from them equals
+  // the side seeded from a scan of every member: same band, rows and
+  // fringe, at every depth and for every partner block.
+  const StaticGraph g = make_instance("rgg14", 5);
+  const BlockID k = 6;
+  const int p = 2;
+  Config config = Config::preset(Preset::kMinimal, k);
+  config.seed = 3;
+  const Partition replica =
+      Partitioner(Context::sequential(config)).partition(g).partition;
+  std::vector<BlockID> assignment = replica.assignment();
+  std::vector<BlockRowShard> stores;
+  std::vector<DistPartition> partitions;
+  for (int rank = 0; rank < p; ++rank) {
+    stores.emplace_back(g, assignment, k, rank, p);
+  }
+  for (int rank = 0; rank < p; ++rank) {
+    partitions.push_back(DistPartition::from_replica(replica, stores[rank]));
+  }
+  PERuntime runtime(p, 1);
+  runtime.run([&](PEContext& pe) {
+    (void)gather_quotient(stores[pe.rank()], partitions[pe.rank()], k, pe);
+  });
+
+  auto expect_sides_match = [&](int rank) {
+    const BlockRowShard& store = stores[rank];
+    const DistPartition& partition = partitions[rank];
+    PairScratch scratch;
+    for (BlockID side = 0; side < k; ++side) {
+      if (!store.owns_block(side)) continue;
+      // Superset: every member with a foreign target is a candidate.
+      const std::set<NodeID> candidates(store.candidates(side).begin(),
+                                        store.candidates(side).end());
+      for (const NodeID u : store.members(side)) {
+        for (const NodeID t : store.row_view(u).targets) {
+          if (partition.block_of_local(t) != side) {
+            EXPECT_TRUE(candidates.count(u)) << "node " << store.global_of(u);
+            break;
+          }
+        }
+      }
+      for (BlockID other = 0; other < k; ++other) {
+        if (other == side) continue;
+        const BlockID a = std::min(side, other);
+        const BlockID b = std::max(side, other);
+        for (const int depth : {1, 2, 4}) {
+          SCOPED_TRACE("rank " + std::to_string(rank) + " pair " +
+                       std::to_string(a) + "-" + std::to_string(b) +
+                       " side " + std::to_string(side) + " depth " +
+                       std::to_string(depth));
+          const PairSide from_candidates =
+              build_pair_side(store, partition, a, b, side,
+                              store.candidates(side), {}, depth, scratch);
+          const PairSide from_members =
+              build_pair_side(store, partition, a, b, side,
+                              store.members(side), {}, depth, scratch);
+          EXPECT_EQ(from_candidates.band, from_members.band);
+          EXPECT_EQ(from_candidates.xadj, from_members.xadj);
+          EXPECT_EQ(from_candidates.adj, from_members.adj);
+          EXPECT_EQ(from_candidates.ewgt, from_members.ewgt);
+          EXPECT_EQ(from_candidates.vwgt, from_members.vwgt);
+          EXPECT_EQ(from_candidates.fringe, from_members.fringe);
+        }
+      }
+    }
+  };
+
+  // Moves across the current boundary (a node joins a neighbor's block),
+  // the kind a pair search commits, plus the odd jump to an arbitrary
+  // block; both owners and same-owner moves occur.
+  Rng rng(17);
+  std::size_t moves = 0;
+  for (int attempt = 0; moves < 300 && attempt < 1000000; ++attempt) {
+    const NodeID u = static_cast<NodeID>(rng.bounded(g.num_nodes()));
+    BlockID to = static_cast<BlockID>(rng.bounded(k));
+    if (moves % 8 != 0) {
+      for (EdgeID e = g.first_arc(u); e < g.last_arc(u); ++e) {
+        to = assignment[g.arc_target(e)];
+        if (to != assignment[u]) break;
+      }
+    }
+    if (to == assignment[u]) continue;
+    apply_replica_move(stores, partitions, assignment, g, u, to);
+    if (++moves % 100 == 0) {
+      for (int rank = 0; rank < p; ++rank) expect_sides_match(rank);
+    }
+  }
+  ASSERT_EQ(moves, 300u);
 }
 
 // ------------------------------------------------------- DistHierarchy ----

@@ -97,61 +97,6 @@ TEST(PERuntimeValidation, RejectsNonPositivePeCount) {
   EXPECT_THROW(PERuntime runtime(-2), std::invalid_argument);
 }
 
-TEST(PESubGroupValidation, RejectsMalformedLocalArguments) {
-  PERuntime runtime(1);
-  runtime.run([&](PEContext& pe) {
-    // Owner outside the rank range.
-    EXPECT_THROW(PESubGroup(pe, {5}, {}), std::invalid_argument);
-    // A rank is not its own neighbor.
-    EXPECT_THROW(PESubGroup(pe, {0}, {0}), std::invalid_argument);
-    // Neighbor outside the rank range.
-    EXPECT_THROW(PESubGroup(pe, {0}, {3}), std::invalid_argument);
-  });
-}
-
-TEST(PESubGroupValidation, DuplicateNeighborThrows) {
-  PERuntime runtime(2);
-  runtime.run([&](PEContext& pe) {
-    const int other = 1 - pe.rank();
-    EXPECT_THROW(PESubGroup(pe, {0, 1}, {other, other}),
-                 std::invalid_argument);
-  });
-}
-
-TEST(PESubGroupValidation, AsymmetricNeighborListsThrowOnEveryRank) {
-  // Rank 0 lists rank 1 but not vice versa — exchange() would deadlock
-  // (rank 0 waits forever for a bundle rank 1 never sends). validate()
-  // turns that into an immediate error on *every* rank; debug builds run
-  // it automatically at construction.
-  PERuntime runtime(2);
-  runtime.run([&](PEContext& pe) {
-    std::vector<int> neighbors;
-    if (pe.rank() == 0) neighbors.push_back(1);
-    EXPECT_THROW(
-        {
-          PESubGroup group(pe, {0, 1}, neighbors);
-          group.validate();
-        },
-        std::invalid_argument);
-  });
-}
-
-TEST(PESubGroupValidation, MismatchedOwnerMapsThrowOnEveryRank) {
-  PERuntime runtime(2);
-  runtime.run([&](PEContext& pe) {
-    // Symmetric neighbors, but the ranks disagree on who hosts virtual
-    // PE 1 — rank-local routing would silently diverge.
-    const std::vector<int> owner =
-        pe.rank() == 0 ? std::vector<int>{0, 1} : std::vector<int>{0, 0};
-    EXPECT_THROW(
-        {
-          PESubGroup group(pe, owner, {1 - pe.rank()});
-          group.validate();
-        },
-        std::invalid_argument);
-  });
-}
-
 // ------------------------------------------------------ TCP multi-proc ----
 
 /// Binds an ephemeral localhost port, closes the socket, and returns the
