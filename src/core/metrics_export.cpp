@@ -3,29 +3,48 @@
 #include "core/metrics_export.hpp"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace kappa {
 
 namespace {
 
-/// Per-rank projections of a CommStats vector.
-std::vector<std::uint64_t> per_rank(
-    const std::vector<CommStats>& stats,
-    std::uint64_t (*field)(const CommStats&)) {
-  std::vector<std::uint64_t> values;
-  values.reserve(stats.size());
-  for (const CommStats& s : stats) values.push_back(field(s));
-  return values;
+/// Sets prefix + name + suffix, for every row of \p Counters, to the list
+/// of that row over \p items (ranks, or halo levels).
+template <typename Counters>
+void set_row_lists(MetricsRegistry& registry, const std::string& prefix,
+                   const std::string& suffix,
+                   const std::vector<Counters>& items) {
+  Counters::for_each_counter(
+      [&](const char* name, std::uint64_t Counters::*field, Reduction) {
+        std::vector<std::uint64_t> values;
+        values.reserve(items.size());
+        for (const Counters& item : items) values.push_back(item.*field);
+        registry.set_u64_list(prefix + name + suffix, std::move(values));
+      });
 }
 
-std::vector<std::uint64_t> footprint_field(
-    const std::vector<ShardFootprint>& footprints,
-    std::uint64_t (*field)(const ShardFootprint&)) {
+/// Sets prefix + name to \p total's value and prefix + "per_rank." +
+/// name to the per-rank list, for every row of \p Counters.
+template <typename Counters>
+void set_rows(MetricsRegistry& registry, const std::string& prefix,
+              const Counters& total, const std::vector<Counters>& per_rank) {
+  Counters::for_each_counter(
+      [&](const char* name, std::uint64_t Counters::*field, Reduction) {
+        registry.set_u64(prefix + name, total.*field);
+      });
+  set_row_lists(registry, prefix + "per_rank.", "", per_rank);
+}
+
+/// Sets \p key to one derived value per element of \p items.
+template <typename Item, typename Derive>
+void set_derived_list(MetricsRegistry& registry, const std::string& key,
+                      const std::vector<Item>& items, Derive derive) {
   std::vector<std::uint64_t> values;
-  values.reserve(footprints.size());
-  for (const ShardFootprint& f : footprints) values.push_back(field(f));
-  return values;
+  values.reserve(items.size());
+  for (const Item& item : items) values.push_back(derive(item));
+  registry.set_u64_list(key, std::move(values));
 }
 
 }  // namespace
@@ -48,18 +67,13 @@ MetricsRegistry metrics_from_result(const PartitionResult& result,
 
   registry.set_i64("repartition.initial_cut", result.initial_cut);
   registry.set_u64("repartition.migrated_nodes", result.migrated_nodes);
-  {
-    std::vector<std::uint64_t> migrated;
-    for (const NodeID n : result.migrated_per_pe) migrated.push_back(n);
-    registry.set_u64_list("repartition.migrated_per_rank",
-                          std::move(migrated));
-    std::vector<std::uint64_t> edges;
-    for (const std::size_t e : result.migrated_edges_per_pe) {
-      edges.push_back(e);
-    }
-    registry.set_u64_list("repartition.migrated_edges_per_rank",
-                          std::move(edges));
-  }
+  const auto widen = [](auto value) {
+    return static_cast<std::uint64_t>(value);
+  };
+  set_derived_list(registry, "repartition.migrated_per_rank",
+                   result.migrated_per_pe, widen);
+  set_derived_list(registry, "repartition.migrated_edges_per_rank",
+                   result.migrated_edges_per_pe, widen);
 
   registry.set_f64("time.total_s", result.total_time);
   registry.set_f64("time.coarsen_s", result.coarsening_time);
@@ -68,102 +82,33 @@ MetricsRegistry metrics_from_result(const PartitionResult& result,
 
   registry.set_u64("hierarchy.levels", result.hierarchy_levels);
   registry.set_u64("hierarchy.coarsest_nodes", result.coarsest_nodes);
-  {
-    std::vector<std::uint64_t> levels;
-    for (const NodeID n : result.hierarchy_level_nodes) levels.push_back(n);
-    registry.set_u64_list("hierarchy.level_nodes", std::move(levels));
-  }
+  set_derived_list(registry, "hierarchy.level_nodes",
+                   result.hierarchy_level_nodes, widen);
 
-  const CommStats& comm = result.comm;
-  registry.set_u64("comm.messages_sent", comm.messages_sent);
-  registry.set_u64("comm.words_sent", comm.words_sent);
-  registry.set_u64("comm.messages_received", comm.messages_received);
-  registry.set_u64("comm.words_received", comm.words_received);
-  registry.set_u64("comm.barriers", comm.barriers);
-  registry.set_u64("comm.collective_idle_ns", comm.collective_idle_ns);
-  registry.set_u64("comm.recv_idle_ns", comm.recv_idle_ns);
-  registry.set_u64("comm.rounds_waited", comm.rounds_waited);
-  registry.set_u64("comm.wire_bytes_sent", comm.wire_bytes_sent);
-  registry.set_u64("comm.wire_bytes_received", comm.wire_bytes_received);
-  registry.set_u64("comm.heartbeat_frames_sent", comm.heartbeat_frames_sent);
-  registry.set_u64("comm.heartbeat_words_sent", comm.heartbeat_words_sent);
-  const std::vector<CommStats>& per_pe = result.comm_per_pe;
-  registry.set_u64_list(
-      "comm.per_rank.messages_sent",
-      per_rank(per_pe, [](const CommStats& s) { return s.messages_sent; }));
-  registry.set_u64_list(
-      "comm.per_rank.words_sent",
-      per_rank(per_pe, [](const CommStats& s) { return s.words_sent; }));
-  registry.set_u64_list(
-      "comm.per_rank.messages_received",
-      per_rank(per_pe,
-               [](const CommStats& s) { return s.messages_received; }));
-  registry.set_u64_list(
-      "comm.per_rank.words_received",
-      per_rank(per_pe, [](const CommStats& s) { return s.words_received; }));
-  registry.set_u64_list(
-      "comm.per_rank.idle_ns",
-      per_rank(per_pe, [](const CommStats& s) { return s.idle_ns(); }));
-  registry.set_u64_list(
-      "comm.per_rank.rounds_waited",
-      per_rank(per_pe, [](const CommStats& s) { return s.rounds_waited; }));
-  registry.set_u64_list(
-      "comm.per_rank.wire_bytes_sent",
-      per_rank(per_pe, [](const CommStats& s) { return s.wire_bytes_sent; }));
-  registry.set_u64_list(
-      "comm.per_rank.wire_bytes_received",
-      per_rank(per_pe,
-               [](const CommStats& s) { return s.wire_bytes_received; }));
-  {
-    std::vector<std::uint64_t> messages;
-    std::vector<std::uint64_t> words;
-    for (const LevelHaloStats& level : comm.halo_per_level) {
-      messages.push_back(level.messages);
-      words.push_back(level.words);
-    }
-    registry.set_u64_list("comm.halo.messages_per_level",
-                          std::move(messages));
-    registry.set_u64_list("comm.halo.words_per_level", std::move(words));
-  }
+  set_rows(registry, "comm.", result.comm, result.comm_per_pe);
+  set_derived_list(registry, "comm.per_rank.idle_ns", result.comm_per_pe,
+                   [](const CommStats& s) { return s.idle_ns(); });
+  set_row_lists(registry, "comm.halo.", "_per_level",
+                result.comm.halo_per_level);
 
-  PairShipStats ship;
-  std::vector<std::uint64_t> pairs_per_rank;
-  for (const PairShipStats& s : result.pair_ship_per_pe) {
-    ship += s;
-    pairs_per_rank.push_back(s.pairs_executed);
-  }
-  registry.set_u64("ship.pairs_executed", ship.pairs_executed);
-  registry.set_u64("ship.pairs_shipped", ship.pairs_shipped);
-  registry.set_u64("ship.rows_shipped", ship.rows_shipped);
-  registry.set_u64("ship.words_shipped", ship.words_shipped);
-  registry.set_u64("ship.whole_block_rows", ship.whole_block_rows);
-  registry.set_u64_list("ship.per_rank.pairs_executed",
-                        std::move(pairs_per_rank));
+  set_rows(registry, "ship.", total_counters(result.pair_ship_per_pe),
+           result.pair_ship_per_pe);
+  set_rows(registry, "coarsen.", total_counters(result.coarsen_per_pe),
+           result.coarsen_per_pe);
 
-  registry.set_u64_list(
-      "memory.shard.owned_per_rank",
-      footprint_field(result.shard_memory_per_pe,
-                      [](const ShardFootprint& f) { return f.owned_nodes; }));
-  registry.set_u64_list(
-      "memory.shard.ghost_per_rank",
-      footprint_field(result.shard_memory_per_pe,
-                      [](const ShardFootprint& f) { return f.ghost_nodes; }));
-  registry.set_u64_list(
-      "memory.shard.arcs_per_rank",
-      footprint_field(result.shard_memory_per_pe,
-                      [](const ShardFootprint& f) { return f.arcs; }));
-  registry.set_u64_list(
-      "memory.hierarchy.resident_nodes_per_rank",
-      footprint_field(result.hierarchy_memory_per_pe,
-                      [](const ShardFootprint& f) {
-                        return f.resident_nodes();
-                      }));
-  registry.set_u64_list(
-      "memory.partition.resident_per_rank",
-      footprint_field(result.partition_memory_per_pe,
-                      [](const ShardFootprint& f) {
-                        return f.resident_nodes();
-                      }));
+  set_row_lists(registry, "memory.shard.", "_per_rank",
+                result.shard_memory_per_pe);
+  set_row_lists(registry, "memory.hierarchy.", "_per_rank",
+                result.hierarchy_memory_per_pe);
+  set_row_lists(registry, "memory.partition.", "_per_rank",
+                result.partition_memory_per_pe);
+  const auto resident = [](const ShardFootprint& f) {
+    return f.resident_nodes();
+  };
+  set_derived_list(registry, "memory.hierarchy.resident_nodes_per_rank",
+                   result.hierarchy_memory_per_pe, resident);
+  set_derived_list(registry, "memory.partition.resident_per_rank",
+                   result.partition_memory_per_pe, resident);
 
   return registry;
 }

@@ -1,8 +1,9 @@
 /// \file metrics_export.hpp
 /// \brief Builds the unified MetricsRegistry from a PartitionResult: one
-/// named, typed namespace over every ad-hoc counter the result carries
-/// (CommStats, idle times, halo_per_level, PairShipStats,
-/// shard/hierarchy/partition memory).
+/// named, typed namespace over every counter the result carries. The
+/// comm.*, ship.*, coarsen.* and memory.* keys are generated from the
+/// counter table (parallel/comm_stats.hpp): a new table row is exported
+/// without touching this layer.
 ///
 /// Every consumer — `kappa_cli --metrics-out`, the registry-equality
 /// test — reads these same names; the schema table in README.md

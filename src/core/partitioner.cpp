@@ -110,10 +110,8 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
   const bool tracing = trace_run_enabled(config.trace_enabled);
   PartitionResult result;
   std::vector<MigrationIntake> intake(p);
-  std::vector<ShardFootprint> footprints(p);
-  std::vector<ShardFootprint> hierarchy_memory(p);
-  std::vector<ShardFootprint> partition_memory(p);
-  std::vector<PairShipStats> pair_ship(p);
+  // Every counter of each rank; a rank's thread fills its own slot.
+  std::vector<RankSnapshot> counters(p);
   // Populated by the global rank 0 thread iff tracing (empty elsewhere —
   // on a multi-process fabric only the process hosting rank 0 gets it).
   CollectedTrace collected;
@@ -170,12 +168,13 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
     // Peak resident graph data of this rank across both sharded phases,
     // plus the resident hierarchy store (all levels stay sharded) and the
     // sharded partition state.
-    ShardFootprint footprint = coarsener.stats().footprint;
-    footprint.merge_peak(refiner.footprint());
-    footprints[pe.rank()] = footprint;
-    hierarchy_memory[pe.rank()] = coarsener.stats().hierarchy_resident;
-    partition_memory[pe.rank()] = refiner.partition_footprint();
-    pair_ship[pe.rank()] = refiner.ship_stats();
+    RankSnapshot& mine = counters[pe.rank()];
+    mine.shard_memory = coarsener.stats().footprint;
+    mine.shard_memory.merge_peak(refiner.footprint());
+    mine.hierarchy_memory = coarsener.stats().hierarchy_resident;
+    mine.partition_memory = refiner.partition_footprint();
+    mine.pair_ship = refiner.ship_stats();
+    mine.coarsen = coarsener.stats().matching;
     // Every rank materializes the identical partition; the runtime's
     // primary (lowest locally hosted) rank keeps it — rank 0 in-process,
     // this process's own rank on a multi-process fabric.
@@ -183,28 +182,36 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
     if (tracing) {
       // The partition is already materialized — everything from here on
       // is observation and cannot feed back into it.
-      RankSnapshot snapshot;
-      snapshot.comm = pe.stats();
-      snapshot.comm.wire_bytes_sent = pe.wire_bytes_sent();
-      snapshot.comm.wire_bytes_received = pe.wire_bytes_received();
-      snapshot.comm.heartbeat_frames_sent = pe.heartbeat_frames_sent();
-      snapshot.comm.heartbeat_words_sent = pe.heartbeat_words_sent();
-      snapshot.shard_memory = footprints[pe.rank()];
-      snapshot.hierarchy_memory = hierarchy_memory[pe.rank()];
-      snapshot.partition_memory = partition_memory[pe.rank()];
-      snapshot.pair_ship = pair_ship[pe.rank()];
-      CollectedTrace mine = collect_trace(pe, recorder, snapshot);
-      if (pe.rank() == 0) collected = std::move(mine);
+      mine.comm = pe.stats();
+      CollectedTrace gathered = collect_trace(pe, recorder, mine);
+      if (pe.rank() == 0) collected = std::move(gathered);
     }
   });
 
+  // Local ranks report their complete run (trace collection included);
+  // a multi-process fabric learns the other ranks' counters only from
+  // the snapshots gathered on rank 0, so rank 0's result (and any
+  // metrics built from it) is as complete as an in-process run's.
+  std::vector<bool> hosted(static_cast<std::size_t>(p), false);
+  for (const int q : runtime.local_ranks()) {
+    hosted[static_cast<std::size_t>(q)] = true;
+    counters[q].comm = per_pe[q];
+  }
+  if (!collected.ranks.empty()) {
+    for (int q = 0; q < p; ++q) {
+      if (!hosted[q]) counters[q] = collected.ranks[q];
+    }
+  }
   result.num_pes = p;
-  result.comm = total_comm_stats(per_pe);
-  result.comm_per_pe = per_pe;
-  result.shard_memory_per_pe = std::move(footprints);
-  result.hierarchy_memory_per_pe = std::move(hierarchy_memory);
-  result.partition_memory_per_pe = std::move(partition_memory);
-  result.pair_ship_per_pe = std::move(pair_ship);
+  for (const RankSnapshot& rank : counters) {
+    result.comm_per_pe.push_back(rank.comm);
+    result.shard_memory_per_pe.push_back(rank.shard_memory);
+    result.hierarchy_memory_per_pe.push_back(rank.hierarchy_memory);
+    result.partition_memory_per_pe.push_back(rank.partition_memory);
+    result.pair_ship_per_pe.push_back(rank.pair_ship);
+    result.coarsen_per_pe.push_back(rank.coarsen);
+  }
+  result.comm = total_comm_stats(result.comm_per_pe);
   if (warm != nullptr) {
     result.migrated_per_pe.reserve(p);
     result.migrated_edges_per_pe.reserve(p);
@@ -213,25 +220,8 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
       result.migrated_edges_per_pe.push_back(i.edges);
     }
   }
-  if (tracing && !collected.ranks.empty()) {
-    // Multi-process fabrics only observe their local ranks; the gathered
-    // snapshots fill the slots of remotely hosted ranks, so rank 0's
-    // result (and any metrics built from it) is as complete as an
-    // in-process run's. Locally observed slots stay authoritative.
-    for (int q = 0; q < p; ++q) {
-      const std::size_t slot = static_cast<std::size_t>(q);
-      const CommStats& have = result.comm_per_pe[slot];
-      if (have.messages_sent != 0 || have.barriers != 0) continue;
-      result.comm_per_pe[slot] = collected.ranks[slot].comm;
-      result.shard_memory_per_pe[slot] = collected.ranks[slot].shard_memory;
-      result.hierarchy_memory_per_pe[slot] =
-          collected.ranks[slot].hierarchy_memory;
-      result.partition_memory_per_pe[slot] =
-          collected.ranks[slot].partition_memory;
-      result.pair_ship_per_pe[slot] = collected.ranks[slot].pair_ship;
-    }
-    result.comm = total_comm_stats(result.comm_per_pe);
-    if (sink != nullptr) sink->on_trace(collected.trace);
+  if (!collected.ranks.empty() && sink != nullptr) {
+    sink->on_trace(collected.trace);
   }
   return result;
 }

@@ -99,6 +99,9 @@ struct PartitionResult {
   /// shipments put on the wire (band-limited by default) against the
   /// whole-block volume the legacy mode would have sent.
   std::vector<PairShipStats> pair_ship_per_pe;
+  /// Matching shape of the distributed coarsening per rank: pairs matched
+  /// inside a rank's shards, cross-shard pairs it decided, gap rounds.
+  std::vector<CoarsenStats> coarsen_per_pe;
 };
 
 /// One rank's post-repartitioning data intake (§5.2): the nodes migrated

@@ -31,14 +31,6 @@ namespace kappa {
 
 namespace {
 
-/// Adds a footprint into a running total (the hierarchy keeps every level
-/// resident, so the store's size is the sum, not the peak).
-void accumulate(ShardFootprint& total, const ShardFootprint& fp) {
-  total.owned_nodes += fp.owned_nodes;
-  total.ghost_nodes += fp.ghost_nodes;
-  total.arcs += fp.arcs;
-}
-
 /// Reassembles a full per-node value vector from the all-gathered
 /// per-rank owned contributions (each in ascending global-id order). The
 /// finest level merges in one O(n + p) scan with a read cursor per rank;
@@ -147,7 +139,8 @@ void DistHierarchy::account_level(const DistLevel& level) {
   if (stats_ == nullptr) return;
   const ShardFootprint fp = level.footprint();
   stats_->footprint.merge_peak(fp);
-  accumulate(stats_->hierarchy_resident, fp);
+  // Every level stays resident: the store's size is the sum, not the peak.
+  add_counters(stats_->hierarchy_resident, fp);
 }
 
 DistLevel DistHierarchy::build_finest_level(const CoarseningOptions& options) {
@@ -255,7 +248,7 @@ std::vector<NodeID> DistHierarchy::match_level(
   }
   if (stats_ != nullptr) {
     for (NodeID u = 0; u < num_owned; ++u) {
-      if (partner[u] != u && u < partner[u]) ++stats_->local_pairs;
+      if (partner[u] != u && u < partner[u]) ++stats_->matching.local_pairs;
     }
   }
 
@@ -373,7 +366,7 @@ std::vector<NodeID> DistHierarchy::match_level(
   // Per local node: its nominated candidate this round (kNone: none).
   std::vector<std::size_t> best(num_local, kNone);
   while (true) {
-    if (stats_ != nullptr) ++stats_->gap_rounds;
+    if (stats_ != nullptr) ++stats_->matching.gap_rounds;
     for (NodeID x = 0; x < num_local; ++x) {
       std::size_t b = kNone;
       if (!taken[x]) {
@@ -455,7 +448,7 @@ std::vector<NodeID> DistHierarchy::match_level(
         alive[i] = 0;
         if (v_mine || cands[i].u_global < cands[i].v_global) {
           ++matched_here;  // count each pair once globally
-          if (stats_ != nullptr) ++stats_->gap_pairs;
+          if (stats_ != nullptr) ++stats_->matching.gap_pairs;
         }
       }
     }

@@ -58,9 +58,7 @@ class DistPartition;
 /// Matching/contraction shape of the distributed coarsening, accumulated
 /// over all levels on one PE (this PE's contribution, not a global total).
 struct SpmdCoarseningStats {
-  NodeID local_pairs = 0;      ///< pairs this PE matched inside its shards
-  NodeID gap_pairs = 0;        ///< cross-shard pairs this PE decided
-  std::size_t gap_rounds = 0;  ///< locally-heaviest rounds over all levels
+  CoarsenStats matching;  ///< local/gap pairs and gap rounds (the table)
   /// Peak resident size of any single per-level structure on this PE
   /// (owned + one-hop halo of one level; the gathered coarsest counts
   /// its remote share as ghosts).

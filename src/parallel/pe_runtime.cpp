@@ -11,10 +11,38 @@
 
 namespace kappa {
 
+namespace {
+
+/// The endpoint-measured rows of CommStats, as lifetime totals.
+CommStats endpoint_counters(const Transport& transport) {
+  CommStats counters;
+  counters.wire_bytes_sent = transport.wire_bytes_sent();
+  counters.wire_bytes_received = transport.wire_bytes_received();
+  counters.heartbeat_frames_sent = transport.heartbeat_frames_sent();
+  counters.heartbeat_words_sent = transport.heartbeat_words_sent();
+  return counters;
+}
+
+}  // namespace
+
 PEContext::PEContext(Transport& transport, std::uint64_t seed)
     : transport_(transport),
       rank_(transport.rank()),
-      rng_(Rng(seed).fork(rank_)) {}
+      rng_(Rng(seed).fork(rank_)),
+      endpoint_baseline_(endpoint_counters(transport)) {}
+
+CommStats PEContext::stats() const {
+  // The context never increments the endpoint rows, and the endpoint
+  // never touches the modeled ones: adding the endpoint's growth since
+  // construction completes the counters row by row.
+  CommStats stats = stats_;
+  const CommStats now = endpoint_counters(transport_);
+  CommStats::for_each_counter(
+      [&](const char*, std::uint64_t CommStats::*field, Reduction) {
+        stats.*field += now.*field - endpoint_baseline_.*field;
+      });
+  return stats;
+}
 
 void PEContext::send(int dest, std::vector<std::uint64_t> payload) {
   ++stats_.messages_sent;
@@ -230,15 +258,19 @@ PERuntime::~PERuntime() = default;
 int PERuntime::num_pes() const { return fabric_->size(); }
 
 int PERuntime::primary_rank() const {
-  const std::vector<int> locals = fabric_->local_ranks();
+  const std::vector<int> locals = local_ranks();
   return *std::min_element(locals.begin(), locals.end());
 }
 
 const char* PERuntime::backend() const { return fabric_->name(); }
 
+std::vector<int> PERuntime::local_ranks() const {
+  return fabric_->local_ranks();
+}
+
 std::vector<CommStats> PERuntime::run(
     const std::function<void(PEContext&)>& program) {
-  const std::vector<int> locals = fabric_->local_ranks();
+  const std::vector<int> locals = local_ranks();
   std::vector<CommStats> stats(static_cast<std::size_t>(num_pes()));
   std::vector<std::exception_ptr> errors(locals.size());
   std::vector<std::thread> threads;
@@ -247,28 +279,9 @@ std::vector<CommStats> PERuntime::run(
     const int rank = locals[i];
     threads.emplace_back([this, &program, &stats, &errors, i, rank]() {
       try {
-        Transport& endpoint = fabric_->endpoint(rank);
-        // Wire bytes accumulate over the endpoint's lifetime; report this
-        // run's delta.
-        const std::uint64_t wire_sent_before = endpoint.wire_bytes_sent();
-        const std::uint64_t wire_received_before =
-            endpoint.wire_bytes_received();
-        const std::uint64_t hb_frames_before =
-            endpoint.heartbeat_frames_sent();
-        const std::uint64_t hb_words_before =
-            endpoint.heartbeat_words_sent();
-        PEContext context(endpoint, seed_);
+        PEContext context(fabric_->endpoint(rank), seed_);
         program(context);
-        CommStats& out = stats[static_cast<std::size_t>(rank)];
-        out = context.stats();
-        out.wire_bytes_sent =
-            endpoint.wire_bytes_sent() - wire_sent_before;
-        out.wire_bytes_received =
-            endpoint.wire_bytes_received() - wire_received_before;
-        out.heartbeat_frames_sent =
-            endpoint.heartbeat_frames_sent() - hb_frames_before;
-        out.heartbeat_words_sent =
-            endpoint.heartbeat_words_sent() - hb_words_before;
+        stats[static_cast<std::size_t>(rank)] = context.stats();
       } catch (...) {
         errors[i] = std::current_exception();
       }

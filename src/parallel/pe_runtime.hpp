@@ -89,14 +89,16 @@ class PEContext {
   [[nodiscard]] std::vector<std::uint64_t> broadcast(
       const std::vector<std::uint64_t>& payload, int root);
 
-  /// Communication counters of this PE.
-  [[nodiscard]] const CommStats& stats() const { return stats_; }
+  /// This PE's complete communication counters since the context was
+  /// built: the modeled counters plus the endpoint-measured wire and
+  /// heartbeat bytes, taken as deltas against the endpoint's totals at
+  /// construction — so a run on a reused endpoint counts only itself.
+  [[nodiscard]] CommStats stats() const;
 
   /// Bytes this rank's transport endpoint has put on / taken off the
-  /// physical wire so far (endpoint-lifetime totals, zero on the
-  /// in-process backend). The trace collector snapshots these mid-run
-  /// for the per-rank metrics; PERuntime::run still reports the exact
-  /// per-run delta in its returned CommStats.
+  /// physical wire over its whole lifetime, earlier runs on the same
+  /// fabric included (zero on the in-process backend). The watch sampler
+  /// differences these between samples; stats() holds this run's share.
   [[nodiscard]] std::uint64_t wire_bytes_sent() const;
   [[nodiscard]] std::uint64_t wire_bytes_received() const;
 
@@ -117,7 +119,7 @@ class PEContext {
   /// Inbound queue depths per (source, lane) of this rank's endpoint.
   [[nodiscard]] std::vector<LaneQueueDepth> queue_depths() const;
   /// Heartbeat frames / words this endpoint sent (lifetime totals, like
-  /// wire_bytes_*; PERuntime::run reports the per-run delta).
+  /// wire_bytes_*; stats() holds this run's share).
   [[nodiscard]] std::uint64_t heartbeat_frames_sent() const;
   [[nodiscard]] std::uint64_t heartbeat_words_sent() const;
 
@@ -140,7 +142,10 @@ class PEContext {
   Transport& transport_;
   int rank_;
   Rng rng_;
+  /// The counters this context increments; stats() adds the endpoint's.
   CommStats stats_;
+  /// The endpoint's lifetime totals when the context was built.
+  CommStats endpoint_baseline_;
   int halo_level_ = -1;
 };
 
@@ -162,14 +167,18 @@ class PERuntime {
   ~PERuntime();
 
   /// Executes \p program on every locally hosted PE (one thread each) and
-  /// joins. Returns the communication statistics indexed by *global*
-  /// rank; only locally hosted slots are populated (aggregate with
-  /// total_comm_stats()). A PE whose program throws rethrows here after
-  /// all local PEs finished.
+  /// joins. Returns each PE's PEContext::stats() at the end of its
+  /// program, indexed by *global* rank; only the local_ranks() slots are
+  /// populated (aggregate with total_comm_stats()). A PE whose program
+  /// throws rethrows here after all local PEs finished.
   std::vector<CommStats> run(const std::function<void(PEContext&)>& program);
 
   /// Total PEs of the run, across all processes.
   [[nodiscard]] int num_pes() const;
+
+  /// The ranks hosted in this process: all of them in-process, exactly
+  /// one per process on the TCP fabric.
+  [[nodiscard]] std::vector<int> local_ranks() const;
 
   /// Lowest rank hosted in this process: the rank that owns process-wide
   /// side effects (result materialization, output files). Rank 0 for the

@@ -13,80 +13,40 @@ namespace {
 
 constexpr int kOffsetRounds = 4;
 
-void encode_footprint(const ShardFootprint& f,
-                      std::vector<std::uint64_t>& out) {
-  out.push_back(f.owned_nodes);
-  out.push_back(f.ghost_nodes);
-  out.push_back(f.arcs);
+template <typename Counters>
+void encode_counters(const Counters& counters,
+                     std::vector<std::uint64_t>& out) {
+  Counters::for_each_counter(
+      [&](const char*, std::uint64_t Counters::*field, Reduction) {
+        out.push_back(counters.*field);
+      });
 }
 
-ShardFootprint decode_footprint(const std::vector<std::uint64_t>& in,
-                                std::size_t& pos) {
-  ShardFootprint f;
-  f.owned_nodes = in.at(pos++);
-  f.ghost_nodes = in.at(pos++);
-  f.arcs = in.at(pos++);
-  return f;
+template <typename Counters>
+void decode_counters(Counters& counters, const std::vector<std::uint64_t>& in,
+                     std::size_t& pos) {
+  Counters::for_each_counter(
+      [&](const char*, std::uint64_t Counters::*field, Reduction) {
+        counters.*field = in.at(pos++);
+      });
 }
 
+/// Every table's rows in RankSnapshot order, then the halo breakdown as
+/// a level count followed by each level's rows.
 void encode_snapshot(const RankSnapshot& s, std::vector<std::uint64_t>& out) {
-  const CommStats& c = s.comm;
-  out.push_back(c.messages_sent);
-  out.push_back(c.words_sent);
-  out.push_back(c.messages_received);
-  out.push_back(c.words_received);
-  out.push_back(c.barriers);
-  out.push_back(c.collective_idle_ns);
-  out.push_back(c.recv_idle_ns);
-  out.push_back(c.rounds_waited);
-  out.push_back(c.wire_bytes_sent);
-  out.push_back(c.wire_bytes_received);
-  out.push_back(c.heartbeat_frames_sent);
-  out.push_back(c.heartbeat_words_sent);
-  out.push_back(c.halo_per_level.size());
-  for (const LevelHaloStats& h : c.halo_per_level) {
-    out.push_back(h.messages);
-    out.push_back(h.words);
-  }
-  encode_footprint(s.shard_memory, out);
-  encode_footprint(s.hierarchy_memory, out);
-  encode_footprint(s.partition_memory, out);
-  out.push_back(s.pair_ship.pairs_executed);
-  out.push_back(s.pair_ship.pairs_shipped);
-  out.push_back(s.pair_ship.rows_shipped);
-  out.push_back(s.pair_ship.words_shipped);
-  out.push_back(s.pair_ship.whole_block_rows);
+  RankSnapshot::for_each_table(
+      s, [&](const auto& counters) { encode_counters(counters, out); });
+  out.push_back(s.comm.halo_per_level.size());
+  for (const LevelHaloStats& h : s.comm.halo_per_level) encode_counters(h, out);
 }
 
 RankSnapshot decode_snapshot(const std::vector<std::uint64_t>& in,
                              std::size_t& pos) {
   RankSnapshot s;
-  CommStats& c = s.comm;
-  c.messages_sent = in.at(pos++);
-  c.words_sent = in.at(pos++);
-  c.messages_received = in.at(pos++);
-  c.words_received = in.at(pos++);
-  c.barriers = in.at(pos++);
-  c.collective_idle_ns = in.at(pos++);
-  c.recv_idle_ns = in.at(pos++);
-  c.rounds_waited = in.at(pos++);
-  c.wire_bytes_sent = in.at(pos++);
-  c.wire_bytes_received = in.at(pos++);
-  c.heartbeat_frames_sent = in.at(pos++);
-  c.heartbeat_words_sent = in.at(pos++);
-  c.halo_per_level.resize(in.at(pos++));
-  for (LevelHaloStats& h : c.halo_per_level) {
-    h.messages = in.at(pos++);
-    h.words = in.at(pos++);
-  }
-  s.shard_memory = decode_footprint(in, pos);
-  s.hierarchy_memory = decode_footprint(in, pos);
-  s.partition_memory = decode_footprint(in, pos);
-  s.pair_ship.pairs_executed = in.at(pos++);
-  s.pair_ship.pairs_shipped = in.at(pos++);
-  s.pair_ship.rows_shipped = in.at(pos++);
-  s.pair_ship.words_shipped = in.at(pos++);
-  s.pair_ship.whole_block_rows = in.at(pos++);
+  RankSnapshot::for_each_table(
+      s, [&](auto& counters) { decode_counters(counters, in, pos); });
+  s.comm.halo_per_level.resize(in.at(pos++));
+  for (LevelHaloStats& h : s.comm.halo_per_level) decode_counters(h, in, pos);
   return s;
 }
 

@@ -26,16 +26,30 @@
 
 namespace kappa {
 
-/// One rank's scalar observability block, shipped to rank 0 alongside its
-/// trace buffer. On the TCP backend each process only observes its own
-/// counters; gathering these makes rank 0's metrics as complete as an
-/// in-process run's.
+/// One rank's counters (every table of parallel/comm_stats.hpp), shipped
+/// to rank 0 alongside its trace buffer. On the TCP backend each process
+/// only observes its own counters; gathering these makes rank 0's
+/// metrics as complete as an in-process run's.
 struct RankSnapshot {
   CommStats comm;
   ShardFootprint shard_memory;
   ShardFootprint hierarchy_memory;
   ShardFootprint partition_memory;
   PairShipStats pair_ship;
+  CoarsenStats coarsen;
+
+  /// Calls visit(counters) for every counter table above, in wire order.
+  template <typename Snapshot, typename Visit>
+  static void for_each_table(Snapshot& snapshot, Visit&& visit) {
+    visit(snapshot.comm);
+    visit(snapshot.shard_memory);
+    visit(snapshot.hierarchy_memory);
+    visit(snapshot.partition_memory);
+    visit(snapshot.pair_ship);
+    visit(snapshot.coarsen);
+  }
+
+  bool operator==(const RankSnapshot&) const = default;
 };
 
 /// Result of collect_trace(): populated on global rank 0, empty (zero

@@ -1,10 +1,10 @@
 /// \file trace_test.cpp
 /// \brief Tests of the observability layer: the per-rank span recorder,
 /// the merged Chrome-trace export, the unified metrics registry, and the
-/// two guarantees the layer makes — CommStats aggregation covers every
-/// field, and tracing is observer-only (a traced and an untraced run
-/// produce byte-identical partitions, in-process and across forked TCP
-/// processes).
+/// guarantees the layer makes — the counter table drives aggregation, the
+/// rank-snapshot codec and the metrics export for every row, and tracing
+/// is observer-only (a traced and an untraced run produce byte-identical
+/// partitions, in-process and across forked TCP processes).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,6 +13,7 @@
 #include <netinet/in.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -25,6 +26,7 @@
 #include "generators/generators.hpp"
 #include "parallel/channel.hpp"
 #include "parallel/pe_runtime.hpp"
+#include "parallel/trace_merge.hpp"
 #include "parallel/transport_tcp.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -289,6 +291,51 @@ TEST(TracedRun, ObserverOnlyPartitionByteIdentical) {
   }
 }
 
+// ------------------------------------------------ counter table helpers --
+
+/// Gives every row of \p counters its own value, counting up from \p next.
+template <typename Counters>
+void fill_distinct(Counters& counters, std::uint64_t& next) {
+  Counters::for_each_counter(
+      [&](const char*, std::uint64_t Counters::*field, Reduction) {
+        counters.*field = next++;
+      });
+}
+
+/// A snapshot in which every field of every table (and a rank-dependent
+/// number of halo levels) holds a value no other field of any rank holds.
+RankSnapshot distinct_snapshot(int rank) {
+  RankSnapshot snapshot;
+  std::uint64_t next = 1000 * static_cast<std::uint64_t>(rank + 1);
+  RankSnapshot::for_each_table(
+      snapshot, [&](auto& counters) { fill_distinct(counters, next); });
+  snapshot.comm.halo_per_level.resize(static_cast<std::size_t>(rank) + 1);
+  for (LevelHaloStats& level : snapshot.comm.halo_per_level) {
+    fill_distinct(level, next);
+  }
+  return snapshot;
+}
+
+TEST(CollectTrace, RankSnapshotsRoundTripInproc) {
+  // Rank 0 must receive every rank's snapshot field for field: a row the
+  // codec dropped, reordered or misread shows up as a mismatch.
+  constexpr int kRanks = 3;
+  PERuntime runtime(kRanks, /*seed=*/1);
+  CollectedTrace collected;
+  (void)runtime.run([&](PEContext& pe) {
+    TraceRecorder recorder(16);
+    CollectedTrace mine =
+        collect_trace(pe, recorder, distinct_snapshot(pe.rank()));
+    if (pe.rank() == 0) collected = std::move(mine);
+  });
+  ASSERT_EQ(collected.ranks.size(), static_cast<std::size_t>(kRanks));
+  for (int q = 0; q < kRanks; ++q) {
+    EXPECT_TRUE(collected.ranks[static_cast<std::size_t>(q)] ==
+                distinct_snapshot(q))
+        << "rank " << q;
+  }
+}
+
 // -------------------------------------------------- forked TCP tracing ----
 
 std::uint16_t pick_free_port() {
@@ -403,6 +450,42 @@ TEST(TracedRun, TcpProcessesMergeOnRankZeroWithAlignedClocks) {
 
 // ---------------------------------------------------- metrics registry ----
 
+/// Every row of \p Counters is exported as prefix + name (the total) and
+/// prefix + "per_rank." + name (one value per rank).
+template <typename Counters>
+void expect_rows_exported(const MetricsRegistry& registry,
+                          const std::string& prefix, const Counters& total,
+                          const std::vector<Counters>& per_rank) {
+  Counters::for_each_counter([&](const char* name,
+                                 std::uint64_t Counters::*field, Reduction) {
+    EXPECT_EQ(registry.u64(prefix + name), total.*field) << prefix << name;
+    const std::vector<std::uint64_t>& list =
+        registry.u64_list(prefix + "per_rank." + name);
+    ASSERT_EQ(list.size(), per_rank.size()) << prefix << name;
+    for (std::size_t r = 0; r < list.size(); ++r) {
+      EXPECT_EQ(list[r], per_rank[r].*field) << prefix << name << " " << r;
+    }
+  });
+}
+
+/// Every row of \p Counters is exported as the list prefix + name + suffix
+/// over \p items.
+template <typename Counters>
+void expect_row_lists_exported(const MetricsRegistry& registry,
+                               const std::string& prefix,
+                               const std::string& suffix,
+                               const std::vector<Counters>& items) {
+  Counters::for_each_counter([&](const char* name,
+                                 std::uint64_t Counters::*field, Reduction) {
+    const std::vector<std::uint64_t>& list =
+        registry.u64_list(prefix + name + suffix);
+    ASSERT_EQ(list.size(), items.size()) << prefix << name << suffix;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      EXPECT_EQ(list[i], items[i].*field) << prefix << name << suffix;
+    }
+  });
+}
+
 TEST(MetricsRegistry, MatchesLegacyResultCounters) {
   // The registry is a renaming, never a recomputation: every exported
   // value must equal the PartitionResult field it came from.
@@ -453,6 +536,35 @@ TEST(MetricsRegistry, MatchesLegacyResultCounters) {
 
   EXPECT_EQ(registry.u64_list("memory.shard.owned_per_rank").size(), 4u);
 
+  // Table-driven: every row of every counter table under its key.
+  expect_rows_exported(registry, "comm.", result.comm, result.comm_per_pe);
+  expect_row_lists_exported(registry, "comm.halo.", "_per_level",
+                            result.comm.halo_per_level);
+  expect_rows_exported(registry, "ship.", ship_total,
+                       result.pair_ship_per_pe);
+  expect_rows_exported(registry, "coarsen.",
+                       total_counters(result.coarsen_per_pe),
+                       result.coarsen_per_pe);
+  expect_row_lists_exported(registry, "memory.shard.", "_per_rank",
+                            result.shard_memory_per_pe);
+  expect_row_lists_exported(registry, "memory.hierarchy.", "_per_rank",
+                            result.hierarchy_memory_per_pe);
+  expect_row_lists_exported(registry, "memory.partition.", "_per_rank",
+                            result.partition_memory_per_pe);
+  // The derived lists, and the coarsening rows carry real counts.
+  ASSERT_EQ(registry.u64_list("memory.partition.resident_per_rank").size(),
+            4u);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(registry.u64_list("comm.per_rank.idle_ns")[r],
+              result.comm_per_pe[r].idle_ns());
+    EXPECT_EQ(registry.u64_list("memory.hierarchy.resident_nodes_per_rank")[r],
+              result.hierarchy_memory_per_pe[r].resident_nodes());
+    EXPECT_EQ(registry.u64_list("memory.partition.resident_per_rank")[r],
+              result.partition_memory_per_pe[r].resident_nodes());
+  }
+  EXPECT_GT(registry.u64("coarsen.local_pairs"), 0u);
+  EXPECT_GT(registry.u64("coarsen.gap_rounds"), 0u);
+
   // In a closed run every delivered message was sent by someone: the
   // receive-side totals mirror the send-side totals over all ranks.
   std::uint64_t sent = 0;
@@ -468,67 +580,57 @@ TEST(MetricsRegistry, MatchesLegacyResultCounters) {
   EXPECT_TRUE(json_balanced(out.str()));
 }
 
-// ----------------------------------------------- CommStats aggregation ----
+// ------------------------------------------------- counter aggregation ----
 
-// Pinned completeness guard: total_comm_stats must cover every field. The
-// static_assert trips whenever CommStats grows, forcing whoever adds a
-// field to extend the aggregation (comm_stats.hpp) AND this test.
-static_assert(sizeof(CommStats) ==
-                  12 * sizeof(std::uint64_t) +
-                      sizeof(std::vector<LevelHaloStats>),
-              "CommStats changed shape: update total_comm_stats() and "
-              "TotalCommStats.AggregatesEveryField");
+/// \p total must be \p a and \p b merged row by row under each row's
+/// table reduction.
+template <typename Counters>
+void expect_merged(const Counters& a, const Counters& b,
+                   const Counters& total) {
+  Counters::for_each_counter([&](const char* name,
+                                 std::uint64_t Counters::*field,
+                                 Reduction reduction) {
+    const std::uint64_t want = reduction == Reduction::kSum
+                                   ? a.*field + b.*field
+                                   : std::max(a.*field, b.*field);
+    EXPECT_EQ(total.*field, want) << name;
+  });
+}
 
 TEST(TotalCommStats, AggregatesEveryField) {
+  // Every row of every table, each side with values no other row holds.
+  std::uint64_t next = 1;
   CommStats a;
-  a.messages_sent = 1;
-  a.words_sent = 2;
-  a.messages_received = 3;
-  a.words_received = 4;
-  a.barriers = 5;
-  a.collective_idle_ns = 6;
-  a.recv_idle_ns = 7;
-  a.rounds_waited = 8;
-  a.wire_bytes_sent = 9;
-  a.wire_bytes_received = 10;
-  a.heartbeat_frames_sent = 11;
-  a.heartbeat_words_sent = 12;
-  a.halo_per_level = {{100, 200}};
-
   CommStats b;
-  b.messages_sent = 10;
-  b.words_sent = 20;
-  b.messages_received = 30;
-  b.words_received = 40;
-  b.barriers = 3;  // fewer than a's: barriers aggregate by max, not sum
-  b.collective_idle_ns = 60;
-  b.recv_idle_ns = 70;
-  b.rounds_waited = 80;
-  b.wire_bytes_sent = 90;
-  b.wire_bytes_received = 100;
-  b.heartbeat_frames_sent = 110;
-  b.heartbeat_words_sent = 120;
+  fill_distinct(a, next);
+  fill_distinct(b, next);
+  a.halo_per_level = {{100, 200}};
   b.halo_per_level = {{1000, 2000}, {1, 2}};
 
   const CommStats total = total_comm_stats({a, b});
-  EXPECT_EQ(total.messages_sent, 11u);
-  EXPECT_EQ(total.words_sent, 22u);
-  EXPECT_EQ(total.messages_received, 33u);
-  EXPECT_EQ(total.words_received, 44u);
-  EXPECT_EQ(total.barriers, 5u);  // max: ranks pass each barrier together
-  EXPECT_EQ(total.collective_idle_ns, 66u);
-  EXPECT_EQ(total.recv_idle_ns, 77u);
-  EXPECT_EQ(total.idle_ns(), 143u);
-  EXPECT_EQ(total.rounds_waited, 88u);
-  EXPECT_EQ(total.wire_bytes_sent, 99u);
-  EXPECT_EQ(total.wire_bytes_received, 110u);
-  EXPECT_EQ(total.heartbeat_frames_sent, 121u);
-  EXPECT_EQ(total.heartbeat_words_sent, 132u);
+  expect_merged(a, b, total);
+  // Ranks pass each barrier together: the aggregate is the max, not the
+  // sum.
+  EXPECT_EQ(total.barriers, std::max(a.barriers, b.barriers));
+  EXPECT_NE(total.barriers, a.barriers + b.barriers);
+  EXPECT_EQ(total.idle_ns(), a.idle_ns() + b.idle_ns());
   ASSERT_EQ(total.halo_per_level.size(), 2u);
   EXPECT_EQ(total.halo_per_level[0].messages, 1100u);
   EXPECT_EQ(total.halo_per_level[0].words, 2200u);
   EXPECT_EQ(total.halo_per_level[1].messages, 1u);
   EXPECT_EQ(total.halo_per_level[1].words, 2u);
+
+  RankSnapshot x;
+  RankSnapshot y;
+  RankSnapshot::for_each_table(x, [&](auto& t) { fill_distinct(t, next); });
+  RankSnapshot::for_each_table(y, [&](auto& t) { fill_distinct(t, next); });
+  expect_merged(x.pair_ship, y.pair_ship,
+                total_counters<PairShipStats>({x.pair_ship, y.pair_ship}));
+  expect_merged(x.coarsen, y.coarsen,
+                total_counters<CoarsenStats>({x.coarsen, y.coarsen}));
+  ShardFootprint peak = x.shard_memory;
+  peak.merge_peak(y.shard_memory);
+  expect_merged(x.shard_memory, y.shard_memory, peak);
 }
 
 }  // namespace

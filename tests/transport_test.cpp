@@ -271,6 +271,50 @@ TEST(TcpTransport, PartitionBitIdenticalToInprocAcrossProcesses) {
   EXPECT_EQ(words, inproc.comm_per_pe[0].words_sent);
 }
 
+TEST(TcpTransport, ReusedFabricReportsEachRunsWireBytesOnly) {
+  // Two traced partitions on one runtime: the endpoints' byte totals keep
+  // growing across runs, but every counter a run reports covers that run
+  // alone. Rank 0 learns rank 1's run-2 counters from the snapshot rank 1
+  // ships mid-run, so they can never exceed what rank 1 reports for the
+  // whole of run 2 itself.
+  const StaticGraph g = make_instance("grid_s", 1);
+  Config config = Config::preset(Preset::kMinimal, 4);
+  config.seed = 5;
+  config.trace_enabled = true;
+  const std::uint16_t port = pick_free_port();
+  const std::string path = ::testing::TempDir() + "transport_rerun." +
+                           std::to_string(::getpid()) + ".rank";
+  const auto codes = spawn_ranks(2, [&](int rank) -> int {
+    PERuntime runtime(make_tcp_fabric(local_options(rank, 2, port)),
+                      config.seed);
+    const Partitioner partitioner(Context::spmd(config, runtime));
+    (void)partitioner.partition(g);
+    const PartitionResult second = partitioner.partition(g);
+    const std::string mine = path + std::to_string(rank);
+    std::FILE* out = std::fopen(mine.c_str(), "w");
+    if (out == nullptr) return 46;
+    std::fprintf(out, "%llu\n",
+                 static_cast<unsigned long long>(
+                     second.comm_per_pe.at(1).wire_bytes_sent));
+    std::fclose(out);
+    return 0;
+  });
+  ASSERT_EQ(codes, (std::vector<int>{0, 0}));
+
+  std::vector<unsigned long long> rank1_sent(2, 0);
+  for (int rank = 0; rank < 2; ++rank) {
+    const std::string mine = path + std::to_string(rank);
+    std::FILE* in = std::fopen(mine.c_str(), "r");
+    ASSERT_NE(in, nullptr);
+    ASSERT_EQ(std::fscanf(in, "%llu", &rank1_sent[rank]), 1);
+    std::fclose(in);
+    std::remove(mine.c_str());
+  }
+  EXPECT_GT(rank1_sent[1], 0u);
+  EXPECT_LE(rank1_sent[0], rank1_sent[1])
+      << "rank 0's view of rank 1's run-2 bytes counts run 1 too";
+}
+
 TEST(TcpTransport, DeadPeerSurfacesAsErrorNotHang) {
   const std::uint16_t port = pick_free_port();
   const auto start = std::chrono::steady_clock::now();
