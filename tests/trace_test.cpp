@@ -597,40 +597,145 @@ void expect_merged(const Counters& a, const Counters& b,
   });
 }
 
+/// Checks \p merge on two operands with distinct rows in both orders, so
+/// that a max row must keep the larger value whether it came first or
+/// second: neither last-wins nor first-wins passes for both.
+template <typename Counters, typename Merge>
+void expect_merges_both_ways(std::uint64_t& next, Merge merge) {
+  Counters smaller;
+  Counters larger;
+  fill_distinct(smaller, next);
+  fill_distinct(larger, next);
+  expect_merged(smaller, larger, merge(smaller, larger));
+  expect_merged(larger, smaller, merge(larger, smaller));
+}
+
 TEST(TotalCommStats, AggregatesEveryField) {
   // Every row of every table, each side with values no other row holds.
   std::uint64_t next = 1;
   CommStats a;
   CommStats b;
-  fill_distinct(a, next);
   fill_distinct(b, next);
+  fill_distinct(a, next);
   a.halo_per_level = {{100, 200}};
   b.halo_per_level = {{1000, 2000}, {1, 2}};
 
-  const CommStats total = total_comm_stats({a, b});
-  expect_merged(a, b, total);
-  // Ranks pass each barrier together: the aggregate is the max, not the
-  // sum.
-  EXPECT_EQ(total.barriers, std::max(a.barriers, b.barriers));
-  EXPECT_NE(total.barriers, a.barriers + b.barriers);
-  EXPECT_EQ(total.idle_ns(), a.idle_ns() + b.idle_ns());
-  ASSERT_EQ(total.halo_per_level.size(), 2u);
-  EXPECT_EQ(total.halo_per_level[0].messages, 1100u);
-  EXPECT_EQ(total.halo_per_level[0].words, 2200u);
-  EXPECT_EQ(total.halo_per_level[1].messages, 1u);
-  EXPECT_EQ(total.halo_per_level[1].words, 2u);
+  for (const CommStats& total :
+       {total_comm_stats({a, b}), total_comm_stats({b, a})}) {
+    expect_merged(a, b, total);
+    // Ranks pass each barrier together: the aggregate is the max, not
+    // the sum, and not whichever rank came last (a's count is larger).
+    ASSERT_GT(a.barriers, b.barriers);
+    EXPECT_EQ(total.barriers, a.barriers);
+    EXPECT_EQ(total.idle_ns(), a.idle_ns() + b.idle_ns());
+    ASSERT_EQ(total.halo_per_level.size(), 2u);
+    EXPECT_EQ(total.halo_per_level[0].messages, 1100u);
+    EXPECT_EQ(total.halo_per_level[0].words, 2200u);
+    EXPECT_EQ(total.halo_per_level[1].messages, 1u);
+    EXPECT_EQ(total.halo_per_level[1].words, 2u);
+  }
 
-  RankSnapshot x;
-  RankSnapshot y;
-  RankSnapshot::for_each_table(x, [&](auto& t) { fill_distinct(t, next); });
-  RankSnapshot::for_each_table(y, [&](auto& t) { fill_distinct(t, next); });
-  expect_merged(x.pair_ship, y.pair_ship,
-                total_counters<PairShipStats>({x.pair_ship, y.pair_ship}));
-  expect_merged(x.coarsen, y.coarsen,
-                total_counters<CoarsenStats>({x.coarsen, y.coarsen}));
-  ShardFootprint peak = x.shard_memory;
-  peak.merge_peak(y.shard_memory);
-  expect_merged(x.shard_memory, y.shard_memory, peak);
+  expect_merges_both_ways<PairShipStats>(
+      next, [](PairShipStats x, const PairShipStats& y) {
+        x += y;
+        return x;
+      });
+  expect_merges_both_ways<CoarsenStats>(
+      next, [](const CoarsenStats& x, const CoarsenStats& y) {
+        return total_counters<CoarsenStats>({x, y});
+      });
+  expect_merges_both_ways<ShardFootprint>(
+      next, [](ShardFootprint x, const ShardFootprint& y) {
+        x.merge_peak(y);
+        return x;
+      });
+}
+
+TEST(MetricsRegistry, ExportsThePinnedKeySet) {
+  // The exported names are the kappa.metrics.v1 schema that dashboards
+  // and diffs read. Most come from counter-table field names, so a field
+  // rename would silently rename a published key; this literal list makes
+  // every schema change a deliberate edit here.
+  const std::vector<std::string> expected = {
+      "coarsen.gap_pairs",
+      "coarsen.gap_rounds",
+      "coarsen.local_pairs",
+      "coarsen.per_rank.gap_pairs",
+      "coarsen.per_rank.gap_rounds",
+      "coarsen.per_rank.local_pairs",
+      "comm.barriers",
+      "comm.collective_idle_ns",
+      "comm.halo.messages_per_level",
+      "comm.halo.words_per_level",
+      "comm.heartbeat_frames_sent",
+      "comm.heartbeat_words_sent",
+      "comm.messages_received",
+      "comm.messages_sent",
+      "comm.per_rank.barriers",
+      "comm.per_rank.collective_idle_ns",
+      "comm.per_rank.heartbeat_frames_sent",
+      "comm.per_rank.heartbeat_words_sent",
+      "comm.per_rank.idle_ns",
+      "comm.per_rank.messages_received",
+      "comm.per_rank.messages_sent",
+      "comm.per_rank.recv_idle_ns",
+      "comm.per_rank.rounds_waited",
+      "comm.per_rank.wire_bytes_received",
+      "comm.per_rank.wire_bytes_sent",
+      "comm.per_rank.words_received",
+      "comm.per_rank.words_sent",
+      "comm.recv_idle_ns",
+      "comm.rounds_waited",
+      "comm.wire_bytes_received",
+      "comm.wire_bytes_sent",
+      "comm.words_received",
+      "comm.words_sent",
+      "hierarchy.coarsest_nodes",
+      "hierarchy.level_nodes",
+      "hierarchy.levels",
+      "memory.hierarchy.arcs_per_rank",
+      "memory.hierarchy.ghost_per_rank",
+      "memory.hierarchy.owned_per_rank",
+      "memory.hierarchy.resident_nodes_per_rank",
+      "memory.partition.arcs_per_rank",
+      "memory.partition.ghost_per_rank",
+      "memory.partition.owned_per_rank",
+      "memory.partition.resident_per_rank",
+      "memory.shard.arcs_per_rank",
+      "memory.shard.ghost_per_rank",
+      "memory.shard.owned_per_rank",
+      "partition.balance",
+      "partition.cut",
+      "partition.feasible",
+      "repartition.initial_cut",
+      "repartition.migrated_edges_per_rank",
+      "repartition.migrated_nodes",
+      "repartition.migrated_per_rank",
+      "run.backend",
+      "run.eps",
+      "run.k",
+      "run.num_pes",
+      "run.seed",
+      "ship.pairs_executed",
+      "ship.pairs_shipped",
+      "ship.per_rank.pairs_executed",
+      "ship.per_rank.pairs_shipped",
+      "ship.per_rank.rows_shipped",
+      "ship.per_rank.whole_block_rows",
+      "ship.per_rank.words_shipped",
+      "ship.rows_shipped",
+      "ship.whole_block_rows",
+      "ship.words_shipped",
+      "time.coarsen_s",
+      "time.initial_s",
+      "time.refine_s",
+      "time.total_s",
+  };
+  // The key set does not depend on the run: an empty result exports it.
+  const MetricsRegistry registry =
+      metrics_from_result(PartitionResult{}, Config::preset(Preset::kFast, 2),
+                          "inproc");
+  EXPECT_EQ(registry.names(), expected);
 }
 
 }  // namespace
