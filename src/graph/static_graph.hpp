@@ -12,6 +12,7 @@
 /// locality for the parallel matching phase (§3.3).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <span>
 #include <utility>
@@ -28,11 +29,12 @@ struct Point2D {
   double y = 0.0;
 };
 
-/// Immutable weighted undirected graph in CSR form.
+/// Weighted undirected graph in CSR form with an immutable structure.
 ///
 /// Construction goes through GraphBuilder (which merges parallel edges and
 /// drops self-loops) or through contract() in contraction.hpp. All accessors
 /// are O(1); iteration over the incident arcs of a node is cache-friendly.
+/// Only node weights may change after construction (set_node_weight).
 class StaticGraph {
  public:
   StaticGraph() = default;
@@ -85,6 +87,20 @@ class StaticGraph {
 
   /// Weight of node u.
   [[nodiscard]] NodeWeight node_weight(NodeID u) const { return vwgt_[u]; }
+
+  /// Sets the weight of node u; the total and maximum weight follow. (A
+  /// ShardGraph learns its ghosts' weights after the seal.)
+  void set_node_weight(NodeID u, NodeWeight w) {
+    const NodeWeight old = vwgt_[u];
+    vwgt_[u] = w;
+    total_node_weight_ += w - old;
+    if (w >= max_node_weight_) {
+      max_node_weight_ = w;
+    } else if (old == max_node_weight_) {
+      max_node_weight_ = 0;
+      for (NodeWeight x : vwgt_) max_node_weight_ = std::max(max_node_weight_, x);
+    }
+  }
 
   /// Neighbors of u as a contiguous span.
   [[nodiscard]] std::span<const NodeID> neighbors(NodeID u) const {

@@ -19,11 +19,11 @@
 #include <string>
 #include <utility>
 
+#include "coarsening/prepartition.hpp"
 #include "graph/subgraph.hpp"
 #include "matching/tentative_match.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/wire_format.hpp"
-#include "util/flat_index.hpp"
 #include "util/seeded_hash.hpp"
 #include "util/trace.hpp"
 
@@ -42,7 +42,7 @@ std::vector<BlockID> reassemble_owned(
   if (!level.node_to_shard.empty()) {
     std::vector<std::size_t> cursor(p, 0);
     for (NodeID u = 0; u < level.global_n; ++u) {
-      const int q = DistGraph::owner_of_shard(level.node_to_shard[u], p);
+      const int q = DistLevel::owner_of_shard(level.node_to_shard[u], p);
       values[u] = static_cast<BlockID>(gathered[q][cursor[q]++]);
     }
     return values;
@@ -66,6 +66,33 @@ BlockID DistLevel::shard_of(NodeID global) const {
   const auto it =
       std::upper_bound(shard_begin.begin(), shard_begin.end(), global);
   return static_cast<BlockID>(it - shard_begin.begin()) - 1;
+}
+
+void DistLevel::build_send_lists(int num_pes) {
+  const StaticGraph& csr = shard.csr();
+  const NodeID num_owned = shard.num_owned();
+  std::vector<int> ghost_owner;
+  ghost_owner.reserve(shard.num_ghost());
+  for (NodeID g = num_owned; g < shard.num_local(); ++g) {
+    ghost_owner.push_back(owner_of_node(shard.global_of(g), num_pes));
+  }
+  peer.assign(num_pes, 0);
+  send_begin.assign(1, 0);
+  send_to.clear();
+  for (NodeID u = 0; u < num_owned; ++u) {
+    const auto first = static_cast<std::ptrdiff_t>(send_begin.back());
+    for (EdgeID e = csr.first_arc(u); e < csr.last_arc(u); ++e) {
+      const NodeID t = csr.arc_target(e);
+      if (shard.is_owned(t)) continue;
+      const int q = ghost_owner[t - num_owned];
+      if (std::find(send_to.begin() + first, send_to.end(), q) ==
+          send_to.end()) {
+        send_to.push_back(q);
+        peer[q] = 1;
+      }
+    }
+    send_begin.push_back(send_to.size());
+  }
 }
 
 // --------------------------------------------------------- DistHierarchy ----
@@ -146,27 +173,38 @@ void DistHierarchy::account_level(const DistLevel& level) {
 DistLevel DistHierarchy::build_finest_level(const CoarseningOptions& options) {
   const int p = pe_.size();
   const int rank = pe_.rank();
+  const StaticGraph& g = *finest_;
 
   DistLevel level;
-  level.global_n = finest_->num_nodes();
-  level.max_node_weight = finest_->max_node_weight();
+  level.global_n = g.num_nodes();
+  level.max_node_weight = g.max_node_weight();
   level.num_shards = std::max<BlockID>(options.matching_pes, 1);
 
   // The input graph is the one level that is resident everywhere, so the
-  // prepartition may read it; the resulting ownership map is the finest
-  // level's replicated metadata.
-  const DistGraph dist(*finest_, level.num_shards, rank, p);
-  level.node_to_shard = dist.node_to_shard();
-  for (const BlockID s : dist.shards_of_rank(rank, p)) {
+  // prepartition may read it (geometric when coordinates exist, node
+  // numbering otherwise, §3.3); the resulting ownership map is the finest
+  // level's replicated metadata. Only this rank's shards get node lists
+  // and cross arcs: shard s is the (s / p)-th shard of rank s mod p.
+  level.node_to_shard = prepartition(g, level.num_shards);
+  for (BlockID s = static_cast<BlockID>(rank); s < level.num_shards;
+       s += static_cast<BlockID>(p)) {
     level.my_shard_ids.push_back(s);
-    level.my_shards.push_back(dist.shard(s));
   }
-  level.shard = ShardGraph(*finest_, dist, pe_);
-
-  level.peer.assign(p, 0);
-  for (NodeID g = level.shard.num_owned(); g < level.shard.num_local(); ++g) {
-    level.peer[level.owner_of_node(level.shard.global_of(g), p)] = 1;
+  level.my_shards.resize(level.my_shard_ids.size());
+  for (NodeID u = 0; u < g.num_nodes(); ++u) {
+    const BlockID s = level.node_to_shard[u];
+    if (DistLevel::owner_of_shard(s, p) != rank) continue;
+    GraphShard& shard = level.my_shards[s / static_cast<BlockID>(p)];
+    shard.nodes.push_back(u);
+    for (EdgeID e = g.first_arc(u); e < g.last_arc(u); ++e) {
+      const NodeID v = g.arc_target(e);
+      if (level.node_to_shard[v] != s) {
+        shard.cross_arcs.push_back({u, v, g.arc_weight(e)});
+      }
+    }
   }
+  level.shard = ShardGraph(g, level.my_shards);
+  seal_halo(level, /*with_warm=*/false);
 
   if (warm_) {
     const std::vector<BlockID>& assignment = options.warm_start->assignment();
@@ -176,6 +214,25 @@ DistLevel DistHierarchy::build_finest_level(const CoarseningOptions& options) {
     }
   }
   return level;
+}
+
+void DistHierarchy::seal_halo(DistLevel& level, bool with_warm) {
+  level.build_send_lists(pe_.size());
+  const StaticGraph& csr = level.shard.csr();
+  if (with_warm) level.warm_blocks.resize(level.shard.num_local(), 0);
+  level.exchange_halo(
+      pe_, with_warm ? 4 : 3,
+      [&](NodeID u, std::vector<std::uint64_t>& entry) {
+        entry.push_back(weight_bits(csr.node_weight(u)));
+        entry.push_back(weight_bits(level.shard.weighted_degrees()[u]));
+        if (with_warm) entry.push_back(level.warm_blocks[u]);
+        return true;
+      },
+      [&](NodeID ghost, const std::uint64_t* entry) {
+        level.shard.set_ghost(ghost, bits_weight(entry[1]),
+                              bits_weight(entry[2]));
+        if (with_warm) level.warm_blocks[ghost] = static_cast<BlockID>(entry[3]);
+      });
 }
 
 std::vector<std::uint64_t> DistHierarchy::gather_per_shard(
@@ -267,44 +324,18 @@ std::vector<NodeID> DistHierarchy::match_level(
   // ids on the wire). Every PE tells every neighbor-owning peer the
   // tentative match rating of its boundary nodes; both owners of a
   // cross-shard edge can then evaluate the gap condition identically. ---
-  {
-    std::vector<std::vector<std::uint64_t>> to_peer(p);
-    for (const GraphShard& shard_s : level.my_shards) {
-      NodeID last_u = kInvalidNode;
-      std::vector<int> peers_of_u;  // ranks already served for last_u
-      for (const CrossShardArc& arc : shard_s.cross_arcs) {
-        if (arc.u != last_u) {
-          last_u = arc.u;
-          peers_of_u.clear();
-        }
+  level.exchange_halo(
+      pe_, 2,
+      [&](NodeID u, std::vector<std::uint64_t>& entry) {
         // Unmatched boundary nodes stay at the receiver's default of 0.0,
         // so only matched ones need to cross the wire.
-        if (match_rating[level.shard.local_of(arc.u)] == 0.0) continue;
-        const int q = level.owner_of_node(arc.v, p);
-        if (q == rank) continue;
-        if (std::find(peers_of_u.begin(), peers_of_u.end(), q) !=
-            peers_of_u.end()) {
-          continue;
-        }
-        peers_of_u.push_back(q);
-        to_peer[q].push_back(arc.u);
-        to_peer[q].push_back(std::bit_cast<std::uint64_t>(
-            match_rating[level.shard.local_of(arc.u)]));
-      }
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q != rank && level.peer[q]) pe_.send(q, std::move(to_peer[q]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank || !level.peer[q]) continue;
-      const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        const NodeID g = level.shard.peer_ghost_of(
-            static_cast<NodeID>(msg.payload[i]), rank, pe_.halo_level());
-        match_rating[g] = std::bit_cast<double>(msg.payload[i + 1]);
-      }
-    }
-  }
+        if (match_rating[u] == 0.0) return false;
+        entry.push_back(std::bit_cast<std::uint64_t>(match_rating[u]));
+        return true;
+      },
+      [&](NodeID ghost, const std::uint64_t* entry) {
+        match_rating[ghost] = std::bit_cast<double>(entry[1]);
+      });
 
   // --- Phase 3: the gap graph (§3.3): cross-shard edges whose rating
   // beats the tentative local matches at both endpoints. A spanning edge
@@ -355,7 +386,8 @@ std::vector<NodeID> DistHierarchy::match_level(
   // in their ghost layer (never gathered); a zero all-reduce terminates
   // every PE in the same round. ---
   std::vector<std::uint8_t> alive(cands.size(), 1);
-  std::vector<std::uint8_t> taken(num_local, 0);
+  // Per local node: the round in which it was taken (0: still free).
+  std::vector<std::uint32_t> taken(num_local, 0);
   auto better = [&](std::size_t i, std::size_t b) {
     if (cands[i].rating != cands[b].rating) {
       return cands[i].rating > cands[b].rating;
@@ -365,7 +397,7 @@ std::vector<NodeID> DistHierarchy::match_level(
   };
   // Per local node: its nominated candidate this round (kNone: none).
   std::vector<std::size_t> best(num_local, kNone);
-  while (true) {
+  for (std::uint32_t round = 1;; ++round) {
     if (stats_ != nullptr) ++stats_->matching.gap_rounds;
     for (NodeID x = 0; x < num_local; ++x) {
       std::size_t b = kNone;
@@ -379,21 +411,19 @@ std::vector<NodeID> DistHierarchy::match_level(
     auto best_at = [&](NodeID x, std::size_t i) { return best[x] == i; };
 
     // Nomination exchange for spanning candidates.
-    hash_set<std::uint64_t> remote_best;
+    std::vector<std::vector<std::uint64_t>> nominations(p);
     for (int q = 0; q < p; ++q) {
-      if (q == rank || !level.peer[q]) continue;
-      std::vector<std::uint64_t> words;
       for (const std::size_t i : spanning[q]) {
         if (alive[i] && best_at(cands[i].u, i)) {
-          words.push_back(edge_key(cands[i].u_global, cands[i].v_global));
+          nominations[q].push_back(
+              edge_key(cands[i].u_global, cands[i].v_global));
         }
       }
-      pe_.send(q, std::move(words));
     }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank || !level.peer[q]) continue;
-      const Message msg = pe_.receive(q);
-      remote_best.insert(msg.payload.begin(), msg.payload.end());
+    hash_set<std::uint64_t> remote_best;
+    for (const std::vector<std::uint64_t>& words :
+         pe_.exchange(std::move(nominations), &level.peer)) {
+      remote_best.insert(words.begin(), words.end());
     }
 
     // Decide on the nominations alone: two distinct both-nominated edges
@@ -404,24 +434,6 @@ std::vector<NodeID> DistHierarchy::match_level(
     auto dissolve = [&](NodeID x) {
       const NodeID prev = partner[x];  // tentative partner: same shard
       if (prev != x) partner[prev] = prev;
-    };
-    // Taken notifications: an owned node that got matched must flip its
-    // taken flag at every peer holding it as a ghost — exactly the owners
-    // of its ghost neighbors.
-    std::vector<std::vector<std::uint64_t>> notify(p);
-    auto notify_taken = [&](NodeID lx) {
-      std::vector<int> served;
-      for (EdgeID e = resident.first_arc(lx); e < resident.last_arc(lx); ++e) {
-        const NodeID lt = resident.arc_target(e);
-        if (level.shard.is_owned(lt)) continue;
-        const int q = level.owner_of_node(level.shard.global_of(lt), p);
-        if (q == rank ||
-            std::find(served.begin(), served.end(), q) != served.end()) {
-          continue;
-        }
-        served.push_back(q);
-        notify[q].push_back(level.shard.global_of(lx));
-      }
     };
     std::uint64_t matched_here = 0;
     for (std::size_t i = 0; i < cands.size(); ++i) {
@@ -441,10 +453,8 @@ std::vector<NodeID> DistHierarchy::match_level(
           dissolve(v);
           partner[v] = u;
         }
-        taken[u] = 1;
-        taken[v] = 1;
-        notify_taken(u);
-        if (v_mine) notify_taken(v);
+        taken[u] = round;
+        taken[v] = round;
         alive[i] = 0;
         if (v_mine || cands[i].u_global < cands[i].v_global) {
           ++matched_here;  // count each pair once globally
@@ -453,19 +463,12 @@ std::vector<NodeID> DistHierarchy::match_level(
       }
     }
 
-    for (int q = 0; q < p; ++q) {
-      if (q != rank && level.peer[q]) pe_.send(q, std::move(notify[q]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank || !level.peer[q]) continue;
-      const Message msg = pe_.receive(q);
-      for (const std::uint64_t w : msg.payload) {
-        // Notifications target resident nodes by construction; the guard
-        // only shields against a malformed message.
-        const NodeID l = level.shard.local_of(static_cast<NodeID>(w));
-        if (l != kInvalidNode) taken[l] = 1;
-      }
-    }
+    // Taken notifications: an owned node matched this round flips its
+    // taken flag at every peer holding it as a ghost.
+    level.exchange_halo(
+        pe_, 1,
+        [&](NodeID u, std::vector<std::uint64_t>&) { return taken[u] == round; },
+        [&](NodeID ghost, const std::uint64_t*) { taken[ghost] = round; });
     // Retire candidates that lost an endpoint this round — after the
     // taken-sync, so every PE (and every p) kills the same set.
     for (std::size_t i = 0; i < cands.size(); ++i) {
@@ -541,16 +544,12 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
       outbox[q].push_back(go(lv));
       outbox[q].push_back(coarse_of[lu]);
     }
-    for (int q = 0; q < p; ++q) {
-      if (q != rank && fine.peer[q]) pe_.send(q, std::move(outbox[q]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank || !fine.peer[q]) continue;
-      const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        const NodeID lu = sg.peer_owned_of(static_cast<NodeID>(msg.payload[i]),
+    for (const std::vector<std::uint64_t>& words :
+         pe_.exchange(std::move(outbox), &fine.peer)) {
+      for (std::size_t i = 0; i + 1 < words.size(); i += 2) {
+        const NodeID lu = sg.peer_owned_of(static_cast<NodeID>(words[i]),
                                            rank, pe_.halo_level());
-        coarse_of[lu] = static_cast<NodeID>(msg.payload[i + 1]);
+        coarse_of[lu] = static_cast<NodeID>(words[i + 1]);
       }
     }
   }
@@ -563,39 +562,15 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   // --- Halo exchange 2: ghost coarse ids, so arc targets can be
   // translated. Every peer learns the coarse id of each of my owned
   // boundary nodes it holds as a ghost. ---
-  {
-    std::vector<std::vector<std::uint64_t>> outbox(p);
-    for (const GraphShard& shard_s : fine.my_shards) {
-      NodeID last_u = kInvalidNode;
-      std::vector<int> served;
-      for (const CrossShardArc& arc : shard_s.cross_arcs) {
-        if (arc.u != last_u) {
-          last_u = arc.u;
-          served.clear();
-        }
-        const int q = fine.owner_of_node(arc.v, p);
-        if (q == rank ||
-            std::find(served.begin(), served.end(), q) != served.end()) {
-          continue;
-        }
-        served.push_back(q);
-        outbox[q].push_back(arc.u);
-        outbox[q].push_back(coarse_of[sg.local_of(arc.u)]);
-      }
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q != rank && fine.peer[q]) pe_.send(q, std::move(outbox[q]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank || !fine.peer[q]) continue;
-      const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + 1 < msg.payload.size(); i += 2) {
-        const NodeID l = sg.peer_ghost_of(static_cast<NodeID>(msg.payload[i]),
-                                          rank, pe_.halo_level());
-        coarse_of[l] = static_cast<NodeID>(msg.payload[i + 1]);
-      }
-    }
-  }
+  fine.exchange_halo(
+      pe_, 2,
+      [&](NodeID u, std::vector<std::uint64_t>& entry) {
+        entry.push_back(coarse_of[u]);
+        return true;
+      },
+      [&](NodeID ghost, const std::uint64_t* entry) {
+        coarse_of[ghost] = static_cast<NodeID>(entry[1]);
+      });
 
   // --- Halo exchange 3: coarse-edge contributions of cross-rank pairs.
   // The non-canonical owner translates its endpoint's full row into
@@ -617,22 +592,18 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
         words.push_back(weight_bits(resident.arc_weight(e)));
       }
     }
-    for (int q = 0; q < p; ++q) {
-      if (q != rank && fine.peer[q]) pe_.send(q, std::move(outbox[q]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank || !fine.peer[q]) continue;
-      const Message msg = pe_.receive(q);
+    for (const std::vector<std::uint64_t>& words :
+         pe_.exchange(std::move(outbox), &fine.peer)) {
       std::size_t i = 0;
-      while (i + 1 < msg.payload.size()) {
-        const NodeID member = static_cast<NodeID>(msg.payload[i]);
-        const std::uint64_t narcs = msg.payload[i + 1];
+      while (i + 1 < words.size()) {
+        const NodeID member = static_cast<NodeID>(words[i]);
+        const std::uint64_t narcs = words[i + 1];
         i += 2;
         auto& arcs = shipped[member];
         arcs.reserve(narcs);
         for (std::uint64_t j = 0; j < narcs; ++j) {
-          arcs.emplace_back(static_cast<NodeID>(msg.payload[i]),
-                            bits_weight(msg.payload[i + 1]));
+          arcs.emplace_back(static_cast<NodeID>(words[i]),
+                            bits_weight(words[i + 1]));
           i += 2;
         }
       }
@@ -652,7 +623,6 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
 
   RowSet rows;
   rows.xadj.push_back(0);
-  std::vector<EdgeWeight> owned_wdeg;  // full-row weighted degrees
   std::vector<BlockID> owned_warm;
   std::vector<std::pair<NodeID, EdgeWeight>> acc;
   for (std::size_t i = 0; i < fine.my_shards.size(); ++i) {
@@ -689,8 +659,6 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
 
       rows.ids.push_back(c);
       rows.vwgt.push_back(weight);
-      EdgeWeight wdeg = 0;
-      bool boundary = false;
       for (std::size_t j = 0; j < acc.size(); ++j) {
         if (j > 0 && acc[j].first == rows.adj.back()) {
           rows.ewgt.back() += acc[j].second;  // merge parallel coarse arcs
@@ -698,19 +666,15 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
           rows.adj.push_back(acc[j].first);
           rows.ewgt.push_back(acc[j].second);
         }
-        wdeg += acc[j].second;
       }
       for (EdgeID e = rows.xadj.back(); e < rows.adj.size(); ++e) {
         const NodeID ct = rows.adj[e];
         if (ct < shard_begin[s] || ct >= shard_begin[s + 1]) {  // other shard
           coarse_shard.cross_arcs.push_back({c, ct, rows.ewgt[e]});
-          boundary = true;
         }
       }
       rows.xadj.push_back(rows.adj.size());
-      owned_wdeg.push_back(wdeg);
       if (warm_) owned_warm.push_back(fine.warm_blocks[lu]);
-      if (boundary) coarse_shard.boundary_nodes.push_back(c);
     }
     coarse_shard.nodes.resize(shard_begin[s + 1] - shard_begin[s]);
     std::iota(coarse_shard.nodes.begin(), coarse_shard.nodes.end(),
@@ -718,100 +682,29 @@ DistLevel DistHierarchy::contract_level(DistLevel& fine,
   }
 
   // The coarse ghost layer: remote cross-arc targets, refreshed over the
-  // coarse peer channels exactly like a fine level's (weights, full-row
+  // coarse send list exactly like a fine level's (weights, full-row
   // weighted degrees, and the warm block when warm-started).
   std::vector<NodeID> ghosts;
   for (const GraphShard& coarse_shard : next.my_shards) {
     for (const CrossShardArc& arc : coarse_shard.cross_arcs) {
-      if (DistGraph::owner_of_shard(next.shard_of(arc.v), p) != rank) {
-        ghosts.push_back(arc.v);
-      }
+      if (next.owner_of_node(arc.v, p) != rank) ghosts.push_back(arc.v);
     }
   }
   std::sort(ghosts.begin(), ghosts.end());
   ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
 
-  next.peer.assign(p, 0);
-  for (const NodeID g : ghosts) {
-    next.peer[DistGraph::owner_of_shard(next.shard_of(g), p)] = 1;
-  }
-
-  std::vector<NodeWeight> ghost_weights(ghosts.size(), 0);
-  std::vector<EdgeWeight> ghost_wdeg(ghosts.size(), 0);
-  std::vector<BlockID> ghost_warm(warm_ ? ghosts.size() : 0, 0);
-  {
-    const std::uint64_t stride = warm_ ? 4 : 3;
-    FlatIndex ghost_index(ghosts.size());
-    for (NodeID g = 0; g < ghosts.size(); ++g) ghost_index.insert(ghosts[g], g);
-    // Row index of an owned coarse id: rows were appended per shard in
-    // my_shard_ids order, contiguous coarse-id ranges within each.
-    std::vector<std::size_t> shard_row_offset(next.my_shards.size() + 1, 0);
-    for (std::size_t i = 0; i < next.my_shards.size(); ++i) {
-      shard_row_offset[i + 1] =
-          shard_row_offset[i] + next.my_shards[i].nodes.size();
-    }
-    std::vector<std::vector<std::uint64_t>> outbox(p);
-    for (std::size_t i = 0; i < next.my_shards.size(); ++i) {
-      NodeID last_c = kInvalidNode;
-      std::vector<int> served;
-      for (const CrossShardArc& arc : next.my_shards[i].cross_arcs) {
-        if (arc.u != last_c) {
-          last_c = arc.u;
-          served.clear();
-        }
-        const int q = DistGraph::owner_of_shard(next.shard_of(arc.v), p);
-        if (q == rank ||
-            std::find(served.begin(), served.end(), q) != served.end()) {
-          continue;
-        }
-        served.push_back(q);
-        const std::size_t row =
-            shard_row_offset[i] +
-            static_cast<std::size_t>(arc.u - shard_begin[next.my_shard_ids[i]]);
-        outbox[q].push_back(arc.u);
-        outbox[q].push_back(weight_bits(rows.vwgt[row]));
-        outbox[q].push_back(weight_bits(owned_wdeg[row]));
-        if (warm_) outbox[q].push_back(owned_warm[row]);
-      }
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q != rank && next.peer[q]) pe_.send(q, std::move(outbox[q]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank || !next.peer[q]) continue;
-      const Message msg = pe_.receive(q);
-      for (std::size_t i = 0; i + (stride - 1) < msg.payload.size();
-           i += stride) {
-        const NodeID g =
-            peer_local_of(ghost_index, static_cast<NodeID>(msg.payload[i]), 0,
-                          static_cast<NodeID>(ghosts.size()), rank,
-                          pe_.halo_level());
-        ghost_weights[g] = bits_weight(msg.payload[i + 1]);
-        ghost_wdeg[g] = bits_weight(msg.payload[i + 2]);
-        if (warm_) ghost_warm[g] = static_cast<BlockID>(msg.payload[i + 3]);
-      }
-    }
-  }
-
   // Seal the resident structures of the coarse level.
-  next.max_node_weight = static_cast<NodeWeight>(pe_.all_reduce_max(
-      static_cast<std::uint64_t>(std::max<NodeWeight>(
-          rows.vwgt.empty()
-              ? 0
-              : *std::max_element(rows.vwgt.begin(), rows.vwgt.end()),
-          0))));
+  NodeWeight max_weight = 0;
+  for (const NodeWeight w : rows.vwgt) max_weight = std::max(max_weight, w);
   ShardGraphParts parts;
   parts.owned = rows.ids;
   parts.owned_rows = std::move(rows);
   parts.ghosts = std::move(ghosts);
-  parts.ghost_weights = std::move(ghost_weights);
-  parts.ghost_weighted_degrees = std::move(ghost_wdeg);
   next.shard = ShardGraph(std::move(parts));
-  if (warm_) {
-    next.warm_blocks = std::move(owned_warm);
-    next.warm_blocks.insert(next.warm_blocks.end(), ghost_warm.begin(),
-                            ghost_warm.end());
-  }
+  if (warm_) next.warm_blocks = std::move(owned_warm);
+  seal_halo(next, warm_);
+  next.max_node_weight = static_cast<NodeWeight>(
+      pe_.all_reduce_max(static_cast<std::uint64_t>(max_weight)));
 
   // The sharded contraction map of the fine level (owned nodes only —
   // this *is* the per-level map; nothing is gathered).
@@ -929,13 +822,9 @@ BlockRowShard DistHierarchy::distribute_block_rows(
         outbox[dest].push_back(pack_pair(u, b));
       }
     }
-    for (int q = 0; q < p; ++q) {
-      if (q != rank) pe_.send(q, std::move(outbox[q]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q == rank) continue;
-      const Message msg = pe_.receive(q);
-      for (const std::uint64_t word : msg.payload) {
+    for (const std::vector<std::uint64_t>& words :
+         pe_.exchange(std::move(outbox))) {
+      for (const std::uint64_t word : words) {
         const auto [u, b] = unpack_pair(word);
         mine.push_back(static_cast<NodeID>(u));
         mine_blocks.push_back(static_cast<BlockID>(b));
@@ -974,14 +863,8 @@ BlockRowShard DistHierarchy::distribute_block_rows(
          resident.arc_weights(i)},
         [&](NodeID t) { return L.shard.global_of(t); });
   }
-  // Deterministic all-to-all rendezvous: one (possibly empty) message to
-  // every other rank, one receive from each.
-  for (int q = 0; q < p; ++q) {
-    if (q != rank) pe_.send(q, std::move(streams[q]));
-  }
-  for (int q = 0; q < p; ++q) {
-    if (q != rank) streams[q] = pe_.receive(q).payload;
-  }
+  // Deterministic all-to-all rendezvous; this rank's stream stays here.
+  streams = pe_.exchange(std::move(streams));
 
   // Merge the p sorted streams straight into the core rows.
   RowSet core;

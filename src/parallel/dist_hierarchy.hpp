@@ -7,11 +7,23 @@
 ///
 ///   DistLevel     — one rank's resident share of one level: the
 ///     owned+ghost ShardGraph (§3.3), the per-owned-shard boundary
-///     structure the gap-graph matcher reads, and the sharded
-///     contraction map to the next level. The only replicated per-level
-///     state is the ownership map — O(num_shards) coarse-id ranges for
-///     coarse levels (coarse ids are contiguous per shard), and the
-///     prepartition vector for the finest level.
+///     structure the gap-graph matcher reads, the halo send list and the
+///     sharded contraction map to the next level. The only replicated
+///     per-level state is the ownership map — O(num_shards) coarse-id
+///     ranges for coarse levels (coarse ids are contiguous per shard),
+///     and the prepartition vector for the finest level.
+///
+///   The halo — every message of the coarsening loop travels between halo
+///     peers through one shape. Each level builds, once and together with
+///     its ghost layer, a *send list*: per owned node, the distinct ranks
+///     that hold it as a ghost. The ghost refresh, the rating exchange,
+///     the taken notifications and the ghost coarse ids are one call of
+///     DistLevel::exchange_halo() each; the point-to-point waves (gap
+///     nominations, boundary match decisions, shipped row contributions,
+///     the block-row distribution, DistPartition's lookups) address their
+///     owner directly. All of them go through one peer rendezvous,
+///     PEContext::exchange(): one message to every peer, empty ones
+///     included, then one receive from each.
 ///
 ///   DistHierarchy — the level stack plus the protocols that keep it
 ///     shard-owned end to end:
@@ -39,14 +51,15 @@
 /// n_level (measured in EXPERIMENTS.md, asserted in shard_graph_test).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "coarsening/hierarchy.hpp"
 #include "graph/partition.hpp"
 #include "graph/static_graph.hpp"
-#include "parallel/dist_graph.hpp"
 #include "parallel/pe_runtime.hpp"
 #include "parallel/shard_graph.hpp"
 #include "util/random.hpp"
@@ -86,6 +99,11 @@ struct DistLevel {
   std::vector<BlockID> my_shard_ids;  ///< ascending; s ≡ rank (mod p)
   std::vector<GraphShard> my_shards;  ///< parallel to my_shard_ids
   std::vector<char> peer;             ///< per rank: shares a halo with me
+  /// The halo send list (CSR over owned local ids): the ranks of
+  /// send_to[send_begin[u] .. send_begin[u + 1]) hold owned node u as a
+  /// ghost, each once. Built with the level (build_send_lists).
+  std::vector<EdgeID> send_begin;
+  std::vector<int> send_to;
   /// Warm-started builds: the block of every resident node (local ids,
   /// owned then ghost) — the constraint the matchers filter on.
   std::vector<BlockID> warm_blocks;
@@ -93,13 +111,37 @@ struct DistLevel {
   /// next level. Filled when the next level is built.
   std::vector<NodeID> owned_to_coarse;
 
+  /// Physical owner of virtual shard \p s in a runtime of \p num_pes PEs
+  /// (round-robin, the p-invariant work distribution).
+  [[nodiscard]] static int owner_of_shard(BlockID s, int num_pes) {
+    return static_cast<int>(s % static_cast<BlockID>(num_pes));
+  }
+
   /// Home shard of a global node id of this level.
   [[nodiscard]] BlockID shard_of(NodeID global) const;
 
   /// Physical owner rank of a global node id.
   [[nodiscard]] int owner_of_node(NodeID global, int num_pes) const {
-    return DistGraph::owner_of_shard(shard_of(global), num_pes);
+    return owner_of_shard(shard_of(global), num_pes);
   }
+
+  /// The ranks that hold owned local id \p u as a ghost.
+  [[nodiscard]] std::span<const int> send_list(NodeID u) const {
+    return {send_to.data() + send_begin[u], send_to.data() + send_begin[u + 1]};
+  }
+
+  /// Derives the send list and peer from the sealed shard's ghost arcs.
+  void build_send_lists(int num_pes);
+
+  /// One halo exchange over the send list. For every owned node u with a
+  /// non-empty send list, \p encode(u, entry) sees entry = {global id of
+  /// u} and appends stride - 1 value words, or returns false to send
+  /// nothing; the entry goes to every rank of u's send list. Then
+  /// \p decode(ghost, entry) runs on every received entry, with the
+  /// ghost's local id resolved (and checked) from the entry's global id.
+  template <typename Encode, typename Decode>
+  void exchange_halo(PEContext& pe, std::size_t stride, Encode&& encode,
+                     Decode&& decode) const;
 
   /// Visits the owned nodes of rank \p q in ascending global-id order —
   /// derivable from the replicated ownership map alone, which is how the
@@ -109,7 +151,7 @@ struct DistLevel {
   void for_each_owned_of_rank(int q, int num_pes, Visitor&& visit) const {
     if (!node_to_shard.empty()) {
       for (NodeID u = 0; u < node_to_shard.size(); ++u) {
-        if (DistGraph::owner_of_shard(node_to_shard[u], num_pes) == q) {
+        if (owner_of_shard(node_to_shard[u], num_pes) == q) {
           visit(u);
         }
       }
@@ -217,6 +259,11 @@ class DistHierarchy {
   /// Builds the finest DistLevel from the input graph's prepartition.
   [[nodiscard]] DistLevel build_finest_level(const CoarseningOptions& options);
 
+  /// Seals \p level's send list and refreshes its ghost layer: every owned
+  /// node sends its weight, full-row weighted degree and (with
+  /// \p with_warm) warm block to the ranks that hold it as a ghost.
+  void seal_halo(DistLevel& level, bool with_warm);
+
   /// Records a freshly built level in the coarsening stats (peak single
   /// structure and resident hierarchy sum).
   void account_level(const DistLevel& level);
@@ -234,5 +281,30 @@ class DistHierarchy {
   SpmdCoarseningStats* stats_ = nullptr;
   Rng rng_;
 };
+
+template <typename Encode, typename Decode>
+void DistLevel::exchange_halo(PEContext& pe, std::size_t stride,
+                              Encode&& encode, Decode&& decode) const {
+  std::vector<std::vector<std::uint64_t>> outbox(pe.size());
+  std::vector<std::uint64_t> entry;
+  for (NodeID u = 0; u < shard.num_owned(); ++u) {
+    if (send_begin[u] == send_begin[u + 1]) continue;
+    entry.assign(1, shard.global_of(u));
+    if (!encode(u, entry)) continue;
+    assert(entry.size() == stride);
+    for (const int q : send_list(u)) {
+      outbox[q].insert(outbox[q].end(), entry.begin(), entry.end());
+    }
+  }
+  const std::vector<std::vector<std::uint64_t>> inbox =
+      pe.exchange(std::move(outbox), &peer);
+  for (const std::vector<std::uint64_t>& words : inbox) {
+    for (std::size_t i = 0; i + stride <= words.size(); i += stride) {
+      decode(shard.peer_ghost_of(static_cast<NodeID>(words[i]), pe.rank(),
+                                 pe.halo_level()),
+             &words[i]);
+    }
+  }
+}
 
 }  // namespace kappa

@@ -17,35 +17,25 @@ namespace kappa {
 
 namespace {
 
-/// One deterministic request/response rendezvous: every rank sends one
-/// (possibly empty) id list to every other rank, answers the lists it
-/// receives with (id, value) pairs, and collects its own answers. FIFO
-/// per-source delivery pairs the two message waves without tags.
+/// One deterministic request/response lookup: two waves of the peer
+/// rendezvous. Every rank sends one (possibly empty) id list to every
+/// other rank, answers the lists it receives with (id, value) pairs, and
+/// collects its own answers. FIFO per-source delivery pairs the two waves
+/// without tags.
 template <typename Answer, typename Receive>
 void rendezvous_lookup(std::vector<std::vector<std::uint64_t>> requests,
                        PEContext& pe, Answer&& answer, Receive&& receive) {
-  const int p = pe.size();
-  const int rank = pe.rank();
-  if (p == 1) return;
-  for (int q = 0; q < p; ++q) {
-    if (q != rank) pe.send(q, std::move(requests[q]));
-  }
-  for (int q = 0; q < p; ++q) {
-    if (q == rank) continue;
-    const Message msg = pe.receive(q);
-    std::vector<std::uint64_t> reply;
-    reply.reserve(msg.payload.size());
-    for (const std::uint64_t word : msg.payload) {
-      reply.push_back(
-          pack_pair(static_cast<NodeID>(word),
-                    answer(static_cast<NodeID>(word))));
+  std::vector<std::vector<std::uint64_t>> replies =
+      pe.exchange(std::move(requests));
+  for (std::vector<std::uint64_t>& words : replies) {
+    for (std::uint64_t& word : words) {
+      word = pack_pair(static_cast<NodeID>(word),
+                       answer(static_cast<NodeID>(word)));
     }
-    pe.send(q, std::move(reply));
   }
-  for (int q = 0; q < p; ++q) {
-    if (q == rank) continue;
-    const Message msg = pe.receive(q);
-    for (const std::uint64_t word : msg.payload) {
+  for (const std::vector<std::uint64_t>& words :
+       pe.exchange(std::move(replies))) {
+    for (const std::uint64_t word : words) {
       const auto [id, value] = unpack_pair(word);
       receive(static_cast<NodeID>(id), static_cast<BlockID>(value));
     }

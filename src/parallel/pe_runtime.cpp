@@ -82,6 +82,27 @@ Message PEContext::receive(int source) {
   return msg;
 }
 
+std::vector<std::vector<std::uint64_t>> PEContext::exchange(
+    std::vector<std::vector<std::uint64_t>> outbox,
+    const std::vector<char>* peers) {
+  const int p = size();
+  assert(static_cast<int>(outbox.size()) == p);
+  auto is_peer = [&](int q) {
+    return q != rank_ && (peers == nullptr || (*peers)[q] != 0);
+  };
+  for (int q = 0; q < p; ++q) {
+    if (is_peer(q)) send(q, std::move(outbox[q]));
+  }
+  for (int q = 0; q < p; ++q) {
+    if (is_peer(q)) {
+      outbox[q] = receive(q).payload;
+    } else if (q != rank_) {
+      outbox[q].clear();
+    }
+  }
+  return outbox;
+}
+
 std::optional<Message> PEContext::try_receive(int source) {
   auto msg = transport_.try_receive(source, Lane::kApp);
   if (msg) {

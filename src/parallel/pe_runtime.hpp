@@ -56,6 +56,16 @@ class PEContext {
   /// exceeded receive deadline.
   [[nodiscard]] Message receive(int source = -1);
 
+  /// The peer rendezvous behind every neighbourhood exchange: sends
+  /// outbox[q] to every peer q (every other rank, or the ranks with
+  /// (*peers)[q] set), empty payloads included, then receives one message
+  /// from each peer in ascending rank order. Returns the inbox indexed by
+  /// rank: entry q holds peer q's message, this rank's own entry is
+  /// outbox[rank()] handed back unchanged, and every other entry is empty.
+  [[nodiscard]] std::vector<std::vector<std::uint64_t>> exchange(
+      std::vector<std::vector<std::uint64_t>> outbox,
+      const std::vector<char>* peers = nullptr);
+
   /// Non-blocking receive.
   [[nodiscard]] std::optional<Message> try_receive(int source = -1);
 

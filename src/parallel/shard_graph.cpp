@@ -60,40 +60,34 @@ NodeID peer_local_of(const FlatIndex& index, NodeID global, NodeID first,
   return local;
 }
 
-ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
-                       PEContext& pe) {
-  const int p = pe.size();
-  const int rank = pe.rank();
-  const std::vector<BlockID> my_shards = dist.shards_of_rank(rank, p);
-
+ShardGraph::ShardGraph(const StaticGraph& level,
+                       const std::vector<GraphShard>& shards) {
   // Owned nodes: the union of this rank's virtual shards, sorted by
   // global id (per-shard lists are sorted already).
   std::vector<NodeID> owned;
-  for (const BlockID s : my_shards) {
-    const std::vector<NodeID>& nodes = dist.shard(s).nodes;
-    owned.insert(owned.end(), nodes.begin(), nodes.end());
+  for (const GraphShard& shard : shards) {
+    owned.insert(owned.end(), shard.nodes.begin(), shard.nodes.end());
   }
   std::sort(owned.begin(), owned.end());
   num_owned_ = static_cast<NodeID>(owned.size());
+  global_to_local_.reserve(owned.size());
+  for (NodeID local = 0; local < num_owned_; ++local) {
+    global_to_local_.insert(owned[local], local);
+  }
 
-  // Rank-remote cross arcs define the one-hop ghost layer. Cross arcs
-  // between two shards of this rank stay inside the core.
-  struct GhostArc {
-    NodeID u;  ///< owned endpoint (global id)
-    NodeID v;  ///< ghost endpoint (global id)
-    EdgeWeight w;
-  };
-  std::vector<GhostArc> ghost_arcs;
-  for (const BlockID s : my_shards) {
-    for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
-      if (dist.owner_of_node(arc.v, p) != rank) {
-        ghost_arcs.push_back({arc.u, arc.v, arc.weight});
+  // Cross arcs leaving the owned set define the one-hop ghost layer.
+  // Cross arcs between two shards of this rank stay inside the core.
+  std::vector<CrossShardArc> ghost_arcs;
+  for (const GraphShard& shard : shards) {
+    for (const CrossShardArc& arc : shard.cross_arcs) {
+      if (global_to_local_.find(arc.v) == kInvalidNode) {
+        ghost_arcs.push_back(arc);
       }
     }
   }
   std::vector<NodeID> ghosts;
   ghosts.reserve(ghost_arcs.size());
-  for (const GhostArc& arc : ghost_arcs) ghosts.push_back(arc.v);
+  for (const CrossShardArc& arc : ghost_arcs) ghosts.push_back(arc.v);
   std::sort(ghosts.begin(), ghosts.end());
   ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
 
@@ -102,62 +96,18 @@ ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
                           ghosts.end());
   const NodeID num_local = static_cast<NodeID>(local_to_global_.size());
   global_to_local_.reserve(num_local);
-  for (NodeID local = 0; local < num_local; ++local) {
+  for (NodeID local = num_owned_; local < num_local; ++local) {
     global_to_local_.insert(local_to_global_[local], local);
   }
 
   // The level's rows are resident here (this read is the initial data
   // distribution of the level), so owned weights and full-row weighted
-  // degrees are local; ghost entries come from the refresh below.
+  // degrees are local; ghost entries come from the level's refresh.
   std::vector<NodeWeight> vwgt(num_local, 0);
   weighted_degrees_.assign(num_local, 0);
   for (NodeID i = 0; i < num_owned_; ++i) {
     vwgt[i] = level.node_weight(local_to_global_[i]);
     weighted_degrees_[i] = level.weighted_degree(local_to_global_[i]);
-  }
-
-  // --- Ghost refresh over channels: every neighboring rank sends, per
-  // owned boundary node the receiver sees as a ghost, the triple
-  // (global id, node weight, full-row weighted degree). The peer set is
-  // symmetric (u adjacent to a node of q iff q has u as a ghost), so
-  // each side knows exactly whom to expect. ---
-  std::vector<char> is_peer(p, 0);
-  for (const NodeID g : ghosts) {
-    is_peer[dist.owner_of_node(g, p)] = 1;
-  }
-  {
-    std::vector<std::vector<std::uint64_t>> to_peer(p);
-    NodeID last_u = kInvalidNode;
-    std::vector<int> peers_of_u;
-    for (const GhostArc& arc : ghost_arcs) {
-      if (arc.u != last_u) {
-        last_u = arc.u;
-        peers_of_u.clear();
-      }
-      const int q = dist.owner_of_node(arc.v, p);
-      if (std::find(peers_of_u.begin(), peers_of_u.end(), q) !=
-          peers_of_u.end()) {
-        continue;
-      }
-      peers_of_u.push_back(q);
-      const NodeID lu = global_to_local_.find(arc.u);
-      to_peer[q].push_back(arc.u);
-      to_peer[q].push_back(weight_bits(vwgt[lu]));
-      to_peer[q].push_back(weight_bits(weighted_degrees_[lu]));
-    }
-    for (int q = 0; q < p; ++q) {
-      if (q != rank && is_peer[q]) pe.send(q, std::move(to_peer[q]));
-    }
-  }
-  for (int q = 0; q < p; ++q) {
-    if (q == rank || !is_peer[q]) continue;
-    const Message msg = pe.receive(q);
-    for (std::size_t i = 0; i + 2 < msg.payload.size(); i += 3) {
-      const NodeID local = peer_ghost_of(static_cast<NodeID>(msg.payload[i]),
-                                         rank, pe.halo_level());
-      vwgt[local] = bits_weight(msg.payload[i + 1]);
-      weighted_degrees_[local] = bits_weight(msg.payload[i + 2]);
-    }
   }
 
   // --- Seal the local CSR. An owned row holds the node's full arc list:
@@ -171,7 +121,7 @@ ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
   for (NodeID i = 0; i < num_owned_; ++i) {
     xadj[i + 1] = level.degree(local_to_global_[i]);
   }
-  for (const GhostArc& arc : ghost_arcs) {
+  for (const CrossShardArc& arc : ghost_arcs) {
     ++xadj[global_to_local_.find(arc.v) + 1];
   }
   for (NodeID local = 0; local < num_local; ++local) {
@@ -193,9 +143,9 @@ ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
     const NodeID lu = global_to_local_.find(it->u);
     const NodeID lv = global_to_local_.find(it->v);
     adj[fill[lu]] = lv;
-    ewgt[fill[lu]++] = it->w;
+    ewgt[fill[lu]++] = it->weight;
     adj[fill[lv]] = lu;
-    ewgt[fill[lv]++] = it->w;
+    ewgt[fill[lv]++] = it->weight;
   }
   csr_ = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
                      std::move(vwgt));
@@ -204,8 +154,6 @@ ShardGraph::ShardGraph(const StaticGraph& level, const DistGraph& dist,
 ShardGraph::ShardGraph(ShardGraphParts parts) {
   num_owned_ = static_cast<NodeID>(parts.owned.size());
   assert(parts.owned_rows.ids.size() == parts.owned.size());
-  assert(parts.ghost_weights.size() == parts.ghosts.size());
-  assert(parts.ghost_weighted_degrees.size() == parts.ghosts.size());
 
   local_to_global_ = std::move(parts.owned);
   local_to_global_.insert(local_to_global_.end(), parts.ghosts.begin(),
@@ -250,19 +198,14 @@ ShardGraph::ShardGraph(ShardGraphParts parts) {
   }
   assert(fill.empty() || fill.back() == xadj.back());
   std::vector<NodeWeight> vwgt = std::move(parts.owned_rows.vwgt);
-  vwgt.insert(vwgt.end(), parts.ghost_weights.begin(),
-              parts.ghost_weights.end());
+  vwgt.resize(num_local, 0);
   csr_ = StaticGraph(std::move(xadj), std::move(adj), std::move(ewgt),
                      std::move(vwgt));
 
-  // Owned weighted degrees from the full resident rows, ghost entries as
-  // received from the owners.
-  weighted_degrees_.assign(local_to_global_.size(), 0);
+  // Owned weighted degrees from the full resident rows.
+  weighted_degrees_.assign(num_local, 0);
   for (NodeID i = 0; i < num_owned_; ++i) {
     weighted_degrees_[i] = csr_.weighted_degree(i);
-  }
-  for (std::size_t g = 0; g < parts.ghosts.size(); ++g) {
-    weighted_degrees_[num_owned_ + g] = parts.ghost_weighted_degrees[g];
   }
 }
 

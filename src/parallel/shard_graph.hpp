@@ -13,8 +13,9 @@
 ///     owned here) in input order, then its ghost arcs; each ghost row
 ///     holds the mirror arcs back into the owned set. Ghost node weights
 ///     and weighted degrees are dynamic per level and are *not* read off
-///     the replica: they arrive over channels from the owning ranks, so
-///     the CommStats counters see every ghost refresh.
+///     the replica: the level's ghost refresh delivers them from the
+///     owning ranks after the seal (set_ghost()), so the CommStats
+///     counters see every refresh.
 ///
 ///   BlockRowShard — built per uncoarsening level for the SPMD refiner:
 ///     the CSR rows of the nodes currently assigned to this rank's
@@ -51,25 +52,37 @@
 #include "graph/static_graph.hpp"
 #include "graph/subgraph.hpp"
 #include "parallel/comm_stats.hpp"
-#include "parallel/dist_graph.hpp"
-#include "parallel/pe_runtime.hpp"
 #include "parallel/wire_format.hpp"
 #include "util/flat_index.hpp"
 #include "util/types.hpp"
 
 namespace kappa {
 
+/// One cross-shard arc: a local endpoint, a remote endpoint in another
+/// shard, and the edge weight.
+struct CrossShardArc {
+  NodeID u = kInvalidNode;  ///< endpoint inside the owning shard
+  NodeID v = kInvalidNode;  ///< endpoint in shard(v) != shard(u)
+  EdgeWeight weight = 0;
+};
+
+/// One virtual shard of a level (§3.3): the nodes it owns and the arcs
+/// leaving it. Shards are owned round-robin by the physical ranks, which
+/// keeps every shard-keyed computation independent of the PE count.
+struct GraphShard {
+  std::vector<NodeID> nodes;              ///< owned nodes (global ids, sorted)
+  std::vector<CrossShardArc> cross_arcs;  ///< arcs leaving the shard
+};
+
 /// Pre-assembled ingredients of a ShardGraph when no replica exists to
 /// extract them from: the distributed hierarchy store builds each coarse
 /// level's parts shard-locally (owned rows from the halo-exchanged
-/// contraction, ghost weights/degrees from the peer refresh) and seals
-/// them here. Rows are in *global* id space; ids must be sorted.
+/// contraction) and seals them here. Rows are in *global* id space; ids
+/// must be sorted.
 struct ShardGraphParts {
-  std::vector<NodeID> owned;                        ///< sorted global ids
-  RowSet owned_rows;                                ///< rows of `owned`
-  std::vector<NodeID> ghosts;                       ///< sorted global ids
-  std::vector<NodeWeight> ghost_weights;            ///< parallel to ghosts
-  std::vector<EdgeWeight> ghost_weighted_degrees;   ///< parallel to ghosts
+  std::vector<NodeID> owned;   ///< sorted global ids
+  RowSet owned_rows;           ///< rows of `owned`
+  std::vector<NodeID> ghosts;  ///< sorted global ids
 };
 
 /// The checked translation of a global id a peer put on the wire: the
@@ -90,16 +103,26 @@ class ShardGraph {
  public:
   ShardGraph() = default;
 
-  /// Builds the resident graph of \p pe's rank from the rank-filtered
-  /// \p dist over \p level. Ghost weights and weighted degrees are
-  /// exchanged with the neighboring ranks over \p pe's channels
-  /// (counted in its CommStats); with one PE the ghost layer is empty.
-  ShardGraph(const StaticGraph& level, const DistGraph& dist, PEContext& pe);
+  /// Builds the resident graph of the finest level from this rank's
+  /// \p shards of \p level: the owned set is the union of their nodes, and
+  /// cross arcs to nodes outside it form the ghost layer (arcs between two
+  /// of the rank's shards stay in the core). Ghost weights and weighted
+  /// degrees stay 0 until set_ghost(); with one PE there are no ghosts.
+  ShardGraph(const StaticGraph& level, const std::vector<GraphShard>& shards);
 
   /// Seals pre-assembled \p parts into the local CSR — the replica-free
   /// construction path of the distributed hierarchy store. Ghost mirror
-  /// rows are derived from the owned rows' ghost targets.
+  /// rows are derived from the owned rows' ghost targets; ghost weights
+  /// and weighted degrees stay 0 until set_ghost().
   explicit ShardGraph(ShardGraphParts parts);
+
+  /// Records the node weight and full-row weighted degree of ghost
+  /// \p local, as its owner sent them in the level's ghost refresh.
+  void set_ghost(NodeID local, NodeWeight weight, EdgeWeight weighted_degree) {
+    assert(!is_owned(local) && local < num_local());
+    csr_.set_node_weight(local, weight);
+    weighted_degrees_[local] = weighted_degree;
+  }
 
   /// The sealed local CSR (owned rows first, then ghost rows).
   [[nodiscard]] const StaticGraph& csr() const { return csr_; }

@@ -59,7 +59,6 @@
 
 #include "core/phases.hpp"
 #include "graph/quotient_graph.hpp"
-#include "parallel/dist_graph.hpp"
 #include "parallel/dist_hierarchy.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/pair_view.hpp"

@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,7 +19,7 @@
 #include "graph/dynamic_overlay.hpp"
 #include "graph/quotient_graph.hpp"
 #include "graph/subgraph.hpp"
-#include "parallel/dist_graph.hpp"
+#include "parallel/dist_hierarchy.hpp"
 #include "parallel/dist_partition.hpp"
 #include "parallel/pair_view.hpp"
 #include "parallel/pe_runtime.hpp"
@@ -78,6 +79,17 @@ TEST(WireFormat, EdgeKeyIsCanonicalAndInjective) {
 
 // ------------------------------------------------------------- ShardGraph ----
 
+/// The finest level alone: a DistHierarchy over \p g, sharded into
+/// \p num_shards, whose contraction limit stops it before the first
+/// matching. Its level(0) is the finest ShardGraph after the ghost refresh.
+DistHierarchy finest_only(const StaticGraph& g, BlockID num_shards,
+                          PEContext& pe) {
+  CoarseningOptions options;
+  options.matching_pes = num_shards;
+  options.contraction_limit = g.num_nodes();
+  return DistHierarchy(g, options, Rng(1), pe);
+}
+
 TEST(ShardGraph, ResidentLayerIsOwnedPlusOneHopHalo) {
   Rng rng(7);
   const StaticGraph g = random_geometric_graph(2000, rng);
@@ -86,14 +98,14 @@ TEST(ShardGraph, ResidentLayerIsOwnedPlusOneHopHalo) {
   PERuntime runtime(p, 1);
   std::vector<std::uint64_t> owned_count(p, 0);
   runtime.run([&](PEContext& pe) {
-    const DistGraph dist(g, num_shards, pe.rank(), p);
-    const ShardGraph shard(g, dist, pe);
+    const DistHierarchy hierarchy = finest_only(g, num_shards, pe);
+    const ShardGraph& shard = hierarchy.level(0).shard;
     owned_count[pe.rank()] = shard.num_owned();
 
     // Owned set: exactly the union of this rank's shards.
     std::set<NodeID> owned;
-    for (const BlockID s : dist.shards_of_rank(pe.rank(), p)) {
-      for (const NodeID u : dist.shard(s).nodes) owned.insert(u);
+    for (const GraphShard& s : hierarchy.level(0).my_shards) {
+      for (const NodeID u : s.nodes) owned.insert(u);
     }
     ASSERT_EQ(owned.size(), shard.num_owned());
 
@@ -139,8 +151,8 @@ TEST(ShardGraph, SingleRankOwnsEverythingWithoutGhosts) {
   const StaticGraph g = grid_graph(20, 20);
   PERuntime runtime(1, 1);
   runtime.run([&](PEContext& pe) {
-    const DistGraph dist(g, 4, pe.rank(), 1);
-    const ShardGraph shard(g, dist, pe);
+    const DistHierarchy hierarchy = finest_only(g, 4, pe);
+    const ShardGraph& shard = hierarchy.level(0).shard;
     EXPECT_EQ(shard.num_owned(), g.num_nodes());
     EXPECT_EQ(shard.num_ghost(), 0u);
     EXPECT_EQ(shard.csr().num_arcs(), g.num_arcs());
@@ -152,9 +164,8 @@ TEST(ShardGraph, GhostRefreshIsCountedInCommStats) {
   const StaticGraph g = random_geometric_graph(1500, rng);
   PERuntime runtime(2, 1);
   const std::vector<CommStats> per_rank = runtime.run([&](PEContext& pe) {
-    const DistGraph dist(g, 8, pe.rank(), 2);
-    const ShardGraph shard(g, dist, pe);
-    EXPECT_GT(shard.num_ghost(), 0u);
+    const DistHierarchy hierarchy = finest_only(g, 8, pe);
+    EXPECT_GT(hierarchy.level(0).shard.num_ghost(), 0u);
   });
   for (const CommStats& s : per_rank) {
     EXPECT_GT(s.messages_sent, 0u);
@@ -178,14 +189,13 @@ struct OverlayReference {
 };
 
 OverlayReference overlay_reference(const StaticGraph& g,
-                                   const DistGraph& dist, int rank, int p) {
+                                   const DistLevel& level, int rank, int p) {
   std::vector<NodeID> owned;
   std::vector<CrossShardArc> ghost_arcs;
-  for (const BlockID s : dist.shards_of_rank(rank, p)) {
-    owned.insert(owned.end(), dist.shard(s).nodes.begin(),
-                 dist.shard(s).nodes.end());
-    for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
-      if (dist.owner_of_node(arc.v, p) != rank) ghost_arcs.push_back(arc);
+  for (const GraphShard& s : level.my_shards) {
+    owned.insert(owned.end(), s.nodes.begin(), s.nodes.end());
+    for (const CrossShardArc& arc : s.cross_arcs) {
+      if (level.owner_of_node(arc.v, p) != rank) ghost_arcs.push_back(arc);
     }
   }
   std::sort(owned.begin(), owned.end());
@@ -234,9 +244,10 @@ TEST(ShardGraph, FinestSealMatchesOverlayReference) {
     for (int p = 1; p <= 4; ++p) {
       PERuntime runtime(p, 1);
       runtime.run([&](PEContext& pe) {
-        const DistGraph dist(g, 8, pe.rank(), p);
-        const ShardGraph shard(g, dist, pe);
-        const OverlayReference ref = overlay_reference(g, dist, pe.rank(), p);
+        const DistHierarchy hierarchy = finest_only(g, 8, pe);
+        const ShardGraph& shard = hierarchy.level(0).shard;
+        const OverlayReference ref =
+            overlay_reference(g, hierarchy.level(0), pe.rank(), p);
         SCOPED_TRACE(name + " p=" + std::to_string(p) +
                      " rank=" + std::to_string(pe.rank()));
         const StaticGraph& csr = shard.csr();
@@ -264,8 +275,8 @@ TEST(ShardGraph, PeerIdTranslationRejectsNonResidentIds) {
   const StaticGraph g = random_geometric_graph(1200, rng);
   PERuntime runtime(2, 1);
   runtime.run([&](PEContext& pe) {
-    const DistGraph dist(g, 8, pe.rank(), 2);
-    const ShardGraph shard(g, dist, pe);
+    const DistHierarchy hierarchy = finest_only(g, 8, pe);
+    const ShardGraph& shard = hierarchy.level(0).shard;
     ASSERT_GT(shard.num_ghost(), 0u);
     const NodeID owned = shard.global_of(0);
     const NodeID ghost = shard.global_of(shard.num_owned());
@@ -306,8 +317,6 @@ TEST(ShardGraph, PartsWithAnUnknownTargetThrow) {
     parts.owned_rows.ewgt = {1, 1, 1};
     parts.owned_rows.vwgt = {1, 1};
     parts.ghosts = {20};
-    parts.ghost_weights = {1};
-    parts.ghost_weighted_degrees = {1};
     return parts;
   };
   const ShardGraph good(parts_with_target(20));
@@ -323,10 +332,8 @@ TEST(ShardGraph, GhostRefreshRejectsAForeignId) {
   PERuntime runtime(2, 1);
   try {
     runtime.run([&](PEContext& pe) {
-      pe.set_halo_level(0);
-      const DistGraph dist(g, 4, pe.rank(), 2);
       if (pe.rank() == 0) {
-        const ShardGraph shard(g, dist, pe);
+        (void)finest_only(g, 4, pe);
         return;
       }
       // Rank 1 answers with a forged refresh triple.
@@ -342,28 +349,42 @@ TEST(ShardGraph, GhostRefreshRejectsAForeignId) {
   }
 }
 
-// -------------------------------------------- rank-filtered DistGraph ----
+// ------------------------------------------- rank-filtered finest level ----
 
-TEST(DistGraph, RankFilteredBuildMaterializesOwnShardsOnly) {
+TEST(FinestLevel, RankFilteredBuildMaterializesOwnShardsOnly) {
   const StaticGraph g = grid_graph(30, 30);
-  const DistGraph full(g, 6);
-  const int p = 2;
-  for (int rank = 0; rank < p; ++rank) {
-    const DistGraph filtered(g, 6, rank, p);
-    EXPECT_EQ(filtered.node_to_shard(), full.node_to_shard());
-    for (BlockID s = 0; s < 6; ++s) {
-      if (DistGraph::owner_of_shard(s, p) == rank) {
-        EXPECT_EQ(filtered.shard(s).nodes, full.shard(s).nodes);
-        EXPECT_EQ(filtered.shard(s).cross_arcs.size(),
-                  full.shard(s).cross_arcs.size());
-        EXPECT_EQ(filtered.shard(s).boundary_nodes,
-                  full.shard(s).boundary_nodes);
-      } else {
-        EXPECT_TRUE(filtered.shard(s).nodes.empty());
-        EXPECT_TRUE(filtered.shard(s).cross_arcs.empty());
-      }
-    }
+  // One rank holds every shard: the reference the filtered builds match.
+  std::vector<BlockID> full_map;
+  std::vector<GraphShard> full;
+  {
+    PERuntime runtime(1, 1);
+    runtime.run([&](PEContext& pe) {
+      const DistHierarchy hierarchy = finest_only(g, 6, pe);
+      full_map = hierarchy.level(0).node_to_shard;
+      full = hierarchy.level(0).my_shards;
+    });
   }
+  ASSERT_EQ(full.size(), 6u);
+  const int p = 2;
+  PERuntime runtime(p, 1);
+  runtime.run([&](PEContext& pe) {
+    const DistHierarchy hierarchy = finest_only(g, 6, pe);
+    const DistLevel& filtered = hierarchy.level(0);
+    EXPECT_EQ(filtered.node_to_shard, full_map);
+    ASSERT_EQ(filtered.my_shard_ids.size(), filtered.my_shards.size());
+    for (std::size_t i = 0; i < filtered.my_shards.size(); ++i) {
+      const BlockID s = filtered.my_shard_ids[i];
+      EXPECT_EQ(DistLevel::owner_of_shard(s, p), pe.rank());
+      EXPECT_EQ(filtered.my_shards[i].nodes, full[s].nodes);
+      EXPECT_EQ(filtered.my_shards[i].cross_arcs.size(),
+                full[s].cross_arcs.size());
+    }
+    // Only the owned shards are materialized: the resident owned set is
+    // exactly their nodes.
+    std::size_t owned = 0;
+    for (const GraphShard& s : filtered.my_shards) owned += s.nodes.size();
+    EXPECT_EQ(filtered.shard.num_owned(), owned);
+  });
 }
 
 // ------------------------------------------- distributed quotient graph ----
@@ -829,6 +850,63 @@ TEST(DistHierarchy, LevelsAreShardedNotReplicated) {
       }
       // The owned sets partition the level exactly.
       EXPECT_EQ(total_owned, n_level) << "p=" << p << " level " << l;
+    }
+  }
+}
+
+TEST(DistHierarchy, SendListsAreTheGhostOwnersOfEveryLevel) {
+  // Every halo exchange of the coarsening loop addresses its peers
+  // through the level's send list, so on every level each owned node's
+  // list must be exactly the owners of its ghost neighbors in the
+  // resident CSR (each once), and the peer flags exactly the union of the
+  // lists — which the halo symmetry makes mutual between ranks.
+  for (const char* instance : {"rgg14", "delaunay14"}) {
+    const StaticGraph g = make_instance(instance, 7);
+    Config config = Config::preset(Preset::kFast, 16);
+    config.seed = 101;
+    for (const int p : {2, 3, 4, 5}) {
+      PERuntime runtime(p, config.seed);
+      std::vector<std::vector<std::vector<char>>> peers(p);
+      runtime.run([&](PEContext& pe) {
+        SpmdCoarsener coarsener(config, pe);
+        const DistHierarchy hierarchy = coarsener.coarsen(g);
+        ASSERT_GE(hierarchy.num_levels(), 3u);
+        for (std::size_t l = 0; l < hierarchy.num_levels(); ++l) {
+          SCOPED_TRACE(std::string(instance) + " p=" + std::to_string(p) +
+                       " rank " + std::to_string(pe.rank()) + " level " +
+                       std::to_string(l));
+          const DistLevel& level = hierarchy.level(l);
+          const ShardGraph& shard = level.shard;
+          const StaticGraph& csr = shard.csr();
+          ASSERT_EQ(level.send_begin.size(), shard.num_owned() + 1u);
+          std::vector<char> union_of_lists(p, 0);
+          for (NodeID u = 0; u < shard.num_owned(); ++u) {
+            std::set<int> expected;
+            for (EdgeID e = csr.first_arc(u); e < csr.last_arc(u); ++e) {
+              const NodeID t = csr.arc_target(e);
+              if (shard.is_owned(t)) continue;
+              expected.insert(level.owner_of_node(shard.global_of(t), p));
+            }
+            const std::span<const int> list = level.send_list(u);
+            const std::set<int> listed(list.begin(), list.end());
+            ASSERT_EQ(listed.size(), list.size()) << "node " << u;
+            ASSERT_EQ(listed, expected) << "node " << u;
+            EXPECT_EQ(listed.count(pe.rank()), 0u);
+            for (const int q : list) union_of_lists[q] = 1;
+          }
+          EXPECT_EQ(level.peer, union_of_lists);
+          peers[pe.rank()].push_back(level.peer);
+        }
+      });
+      for (int r = 0; r < p; ++r) {
+        for (int q = 0; q < p; ++q) {
+          for (std::size_t l = 0; l < peers[r].size(); ++l) {
+            EXPECT_EQ(peers[r][l][q], peers[q][l][r])
+                << instance << " p=" << p << " level " << l << " ranks " << r
+                << ", " << q;
+          }
+        }
+      }
     }
   }
 }

@@ -1,5 +1,5 @@
 /// \file spmd_pipeline_test.cpp
-/// \brief Tests for the SPMD end-to-end pipeline: the graph sharding, the
+/// \brief Tests for the SPMD end-to-end pipeline: the finest-level sharding, the
 /// parallel entry point's validity and quality, its p-invariance (fixed
 /// seed => identical partition for every PE count) and the surfaced
 /// communication statistics.
@@ -11,76 +11,98 @@
 #include "generators/generators.hpp"
 #include "graph/metrics.hpp"
 #include "graph/validation.hpp"
-#include "parallel/dist_graph.hpp"
+#include "parallel/dist_hierarchy.hpp"
 #include "parallel/pe_runtime.hpp"
 
 namespace kappa {
 namespace {
 
-// ------------------------------------------------------------ dist graph ----
+// ----------------------------------------------------------- finest level ----
 
-TEST(DistGraph, ShardsPartitionTheNodes) {
-  Rng rng(7);
-  const StaticGraph g = random_geometric_graph(2000, rng);
-  const DistGraph dist(g, 8);
-  ASSERT_EQ(dist.num_shards(), 8u);
-
-  std::vector<int> seen(g.num_nodes(), 0);
-  for (BlockID s = 0; s < dist.num_shards(); ++s) {
-    for (const NodeID u : dist.shard(s).nodes) {
-      EXPECT_EQ(dist.shard_of(u), s);
-      ++seen[u];
-    }
-  }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
-                          [](int c) { return c == 1; }));
+/// Runs \p visit(pe, level) on every rank of a \p p-rank runtime, with
+/// level the finest DistLevel of \p g sharded into \p num_shards (the
+/// contraction limit stops the hierarchy before its first matching).
+template <typename Visit>
+void for_each_finest_level(const StaticGraph& g, BlockID num_shards, int p,
+                           Visit&& visit) {
+  CoarseningOptions options;
+  options.matching_pes = num_shards;
+  options.contraction_limit = g.num_nodes();
+  PERuntime runtime(p, 1);
+  runtime.run([&](PEContext& pe) {
+    const DistHierarchy hierarchy(g, options, Rng(1), pe);
+    ASSERT_EQ(hierarchy.num_levels(), 1u);
+    visit(pe, hierarchy.level(0));
+  });
 }
 
-TEST(DistGraph, CrossArcsAreExactlyTheShardBoundary) {
-  const StaticGraph g = grid_graph(30, 30);
-  const DistGraph dist(g, 4);
+TEST(FinestLevel, ShardsPartitionTheNodes) {
+  Rng rng(7);
+  const StaticGraph g = random_geometric_graph(2000, rng);
+  std::vector<std::vector<int>> seen(3, std::vector<int>(g.num_nodes(), 0));
+  for_each_finest_level(g, 8, 3, [&](PEContext& pe, const DistLevel& level) {
+    ASSERT_EQ(level.num_shards, 8u);
+    ASSERT_EQ(level.my_shards.size(), level.my_shard_ids.size());
+    for (std::size_t i = 0; i < level.my_shards.size(); ++i) {
+      for (const NodeID u : level.my_shards[i].nodes) {
+        EXPECT_EQ(level.shard_of(u), level.my_shard_ids[i]);
+        ++seen[pe.rank()][u];
+      }
+    }
+  });
+  for (NodeID u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_EQ(seen[0][u] + seen[1][u] + seen[2][u], 1) << "node " << u;
+  }
+}
 
+TEST(FinestLevel, CrossArcsAreExactlyTheShardBoundary) {
+  const StaticGraph g = grid_graph(30, 30);
+  std::vector<std::size_t> listed(2, 0);
+  std::vector<BlockID> node_to_shard;
+  for_each_finest_level(g, 4, 2, [&](PEContext& pe, const DistLevel& level) {
+    if (pe.rank() == 0) node_to_shard = level.node_to_shard;
+    for (std::size_t i = 0; i < level.my_shards.size(); ++i) {
+      const BlockID s = level.my_shard_ids[i];
+      for (const CrossShardArc& arc : level.my_shards[i].cross_arcs) {
+        EXPECT_EQ(level.shard_of(arc.u), s);
+        EXPECT_NE(level.shard_of(arc.v), s);
+      }
+      listed[pe.rank()] += level.my_shards[i].cross_arcs.size();
+    }
+  });
   std::size_t cross = 0;
   for (NodeID u = 0; u < g.num_nodes(); ++u) {
     for (EdgeID e = g.first_arc(u); e < g.last_arc(u); ++e) {
-      if (dist.shard_of(u) != dist.shard_of(g.arc_target(e))) ++cross;
+      if (node_to_shard[u] != node_to_shard[g.arc_target(e)]) ++cross;
     }
   }
-  std::size_t listed = 0;
-  for (BlockID s = 0; s < dist.num_shards(); ++s) {
-    for (const CrossShardArc& arc : dist.shard(s).cross_arcs) {
-      EXPECT_EQ(dist.shard_of(arc.u), s);
-      EXPECT_NE(dist.shard_of(arc.v), s);
-    }
-    listed += dist.shard(s).cross_arcs.size();
-    for (const NodeID u : dist.shard(s).boundary_nodes) {
-      EXPECT_EQ(dist.shard_of(u), s);
-    }
-  }
-  EXPECT_EQ(listed, cross);
+  EXPECT_EQ(listed[0] + listed[1], cross);
 }
 
-TEST(DistGraph, RoundRobinOwnershipCoversAllShards) {
+TEST(FinestLevel, RoundRobinOwnershipCoversAllShards) {
   const StaticGraph g = grid_graph(20, 20);
-  const DistGraph dist(g, 6);
   const int p = 4;
+  std::vector<std::vector<BlockID>> shards_of(p);
+  for_each_finest_level(g, 6, p, [&](PEContext& pe, const DistLevel& level) {
+    shards_of[pe.rank()] = level.my_shard_ids;
+  });
   std::vector<int> owner_count(p, 0);
-  for (BlockID s = 0; s < dist.num_shards(); ++s) {
-    const int owner = DistGraph::owner_of_shard(s, p);
+  for (BlockID s = 0; s < 6; ++s) {
+    const int owner = DistLevel::owner_of_shard(s, p);
     ASSERT_GE(owner, 0);
     ASSERT_LT(owner, p);
     ++owner_count[owner];
   }
   int total = 0;
   for (int rank = 0; rank < p; ++rank) {
-    const std::vector<BlockID> shards = dist.shards_of_rank(rank, p);
-    EXPECT_EQ(static_cast<int>(shards.size()), owner_count[rank]);
-    for (const BlockID s : shards) {
-      EXPECT_EQ(DistGraph::owner_of_shard(s, p), rank);
+    EXPECT_EQ(static_cast<int>(shards_of[rank].size()), owner_count[rank]);
+    EXPECT_TRUE(std::is_sorted(shards_of[rank].begin(), shards_of[rank].end()));
+    for (const BlockID s : shards_of[rank]) {
+      EXPECT_EQ(DistLevel::owner_of_shard(s, p), rank);
     }
-    total += static_cast<int>(shards.size());
+    total += static_cast<int>(shards_of[rank].size());
   }
-  EXPECT_EQ(total, static_cast<int>(dist.num_shards()));
+  EXPECT_EQ(total, 6);
 }
 
 // -------------------------------------------------------- SPMD pipeline ----
