@@ -53,14 +53,6 @@ struct Config {
   /// Worker threads standing in for PEs during refinement (pairs of one
   /// color class run concurrently). 1 = sequential execution.
   int num_threads = 1;
-  /// §5.2 band shipping in the SPMD refiner: the partner owner ships only
-  /// the boundary band of its block (bounded BFS of depth bfs_depth on
-  /// its resident rows, plus a one-hop fringe of frozen context nodes)
-  /// instead of the whole block, and the pair search is confined to the
-  /// shipped band. Off = legacy whole-block shipping, kept for the
-  /// volume-equivalence property tests ("band depth = infinity reproduces
-  /// whole-block shipping bit for bit").
-  bool band_shipping = true;
   /// Extension (§8 future work): add a min-cut pass on the boundary band
   /// of each pair after the FM local iterations, in the sequential
   /// pairwise refiner and in the SPMD band-limited pair views alike. The

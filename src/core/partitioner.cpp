@@ -135,7 +135,7 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
   const std::unique_ptr<WatchSink> watch_sink =
       watch.enabled() ? std::make_unique<WatchSink>(watch_path) : nullptr;
 
-  const std::vector<CommStats> per_pe = runtime.run([&](PEContext& pe) {
+  runtime.run([&](PEContext& pe) {
     TraceRecorder recorder(tracing ? trace_buffer_capacity() : 1);
     const ThreadTraceScope bind_trace(tracing ? &recorder : nullptr);
     ProgressBoard* board =
@@ -179,23 +179,24 @@ PartitionResult run_spmd(const StaticGraph& graph, const Config& config,
     // primary (lowest locally hosted) rank keeps it — rank 0 in-process,
     // this process's own rank on a multi-process fabric.
     if (pe.rank() == runtime.primary_rank()) result = std::move(local);
+    // The run's counters end here: the trace collection below is
+    // observation, and an untraced run must report the same counts.
+    mine.comm = pe.stats();
     if (tracing) {
       // The partition is already materialized — everything from here on
       // is observation and cannot feed back into it.
-      mine.comm = pe.stats();
       CollectedTrace gathered = collect_trace(pe, recorder, mine);
       if (pe.rank() == 0) collected = std::move(gathered);
     }
   });
 
-  // Local ranks report their complete run (trace collection included);
+  // Local ranks report their own snapshots (trace collection excluded);
   // a multi-process fabric learns the other ranks' counters only from
   // the snapshots gathered on rank 0, so rank 0's result (and any
   // metrics built from it) is as complete as an in-process run's.
   std::vector<bool> hosted(static_cast<std::size_t>(p), false);
   for (const int q : runtime.local_ranks()) {
     hosted[static_cast<std::size_t>(q)] = true;
-    counters[q].comm = per_pe[q];
   }
   if (!collected.ranks.empty()) {
     for (int q = 0; q < p; ++q) {

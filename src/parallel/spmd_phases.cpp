@@ -289,9 +289,11 @@ void SpmdRefiner::run_pairwise(BlockRowShard& store, DistPartition& partition,
                                const PairwiseRefinerOptions& options,
                                const Rng& base_rng) {
   const BlockID k = partition.k();
-  // Band-limited shipping follows the pass's band depth (escalated by the
-  // rebalance insurance); 0 = legacy whole-block shipping.
-  const int ship_depth = config_.band_shipping ? options.bfs_depth : 0;
+  // §5.2 band shipping: the partner owner ships only the boundary band of
+  // its block (bounded BFS at the pass's band depth, escalated by the
+  // rebalance insurance, plus a one-hop fringe of frozen context nodes),
+  // and the pair search is confined to the shipped band.
+  const int ship_depth = options.bfs_depth;
 
   int no_change_streak = 0;
   for (int global = 0; global < options.max_global_iterations; ++global) {

@@ -1,8 +1,8 @@
 /// \file dist_partition_test.cpp
 /// \brief Tests for the sharded partition-state store and the §5.2
 /// band-limited pair shipping: p-invariance/bit-identity over the full
-/// runtime-size range with band shipping on, the depth = infinity /
-/// whole-block equivalence property, the sub-linear per-rank partition
+/// runtime-size range, the depth = infinity / whole-block equivalence
+/// property of a pair search, the sub-linear per-rank partition
 /// memory, the shipped-volume accounting, the stale-seed hardening of
 /// the band BFS, and the executor balancing of a color class.
 #include <gtest/gtest.h>
@@ -12,15 +12,20 @@
 #include <vector>
 
 #include "core/partitioner.hpp"
+#include "core/phases.hpp"
 #include "generators/generators.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/metrics.hpp"
 #include "graph/quotient_graph.hpp"
 #include "graph/validation.hpp"
+#include "parallel/dist_partition.hpp"
+#include "parallel/pair_view.hpp"
 #include "parallel/pe_runtime.hpp"
+#include "parallel/shard_graph.hpp"
 #include "parallel/spmd_phases.hpp"
 #include "refinement/band.hpp"
 #include "refinement/edge_coloring.hpp"
+#include "refinement/pairwise_refiner.hpp"
 
 namespace kappa {
 namespace {
@@ -35,7 +40,6 @@ TEST(DistPartitionStore, RepartitionBitIdenticalForP1Through9) {
   const StaticGraph g = make_instance("rgg14", 11);
   Config config = Config::preset(Preset::kMinimal, 8);
   config.seed = 42;
-  ASSERT_TRUE(config.band_shipping);
   const PartitionResult fresh =
       Partitioner(Context::sequential(config)).partition(g);
 
@@ -64,60 +68,91 @@ TEST(DistPartitionStore, RepartitionBitIdenticalForP1Through9) {
 }
 
 TEST(BandShipping, InfiniteDepthReproducesWholeBlockShippingBitForBit) {
-  // The volume-correctness property: with the band depth at infinity the
-  // shipped band covers everything a pair search can reach, so the
-  // pipeline must reproduce the legacy whole-block shipping bit for bit —
-  // band shipping only ever removes nodes the search could never touch.
+  // The volume-correctness property, pair by pair: with the band depth at
+  // infinity the shipped sides cover everything a pair search can reach,
+  // so refine_pair must find the same moves and gains on the view built
+  // from them as on the view built from whole-block sides (ship depth 0,
+  // the reference branch of build_pair_side) — band shipping only ever
+  // removes nodes the search could never touch.
   const StaticGraph g = make_instance("rgg14", 7);
-  for (const int p : {1, 2, 3}) {
-    Config config = Config::preset(Preset::kMinimal, 6);
-    config.seed = 13;
-    config.bfs_depth = 1 << 20;  // the band BFS runs until its side is dry
+  Config config = Config::preset(Preset::kMinimal, 6);
+  config.seed = 13;
+  const Partition replica =
+      Partitioner(Context::sequential(config)).partition(g).partition;
+  const BlockRowShard store(g, replica.assignment(), replica.k(), 0, 1);
+  const DistPartition partition = DistPartition::from_replica(replica, store);
+  const QuotientGraph quotient(g, replica);
+  ASSERT_GE(quotient.edges().size(), 5u);
+  const PairwiseRefinerOptions options = level_refine_options(
+      config, max_block_weight_bound(g, config.k, config.eps),
+      g.max_node_weight());
+  const Rng rng(config.seed);
 
-    config.band_shipping = false;
-    PERuntime whole_runtime(p, config.seed);
-    const PartitionResult whole =
-        Partitioner(Context::spmd(config, whole_runtime)).partition(g);
-
-    config.band_shipping = true;
-    PERuntime band_runtime(p, config.seed);
-    const PartitionResult band =
-        Partitioner(Context::spmd(config, band_runtime)).partition(g);
-
-    EXPECT_EQ(band.cut, whole.cut) << "p=" << p;
-    for (NodeID u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(band.partition.block(u), whole.partition.block(u))
-          << "p=" << p << " node " << u;
+  struct Outcome {
+    EdgeWeight cut_gain = 0;
+    NodeWeight imbalance_gain = 0;
+    std::vector<std::pair<NodeID, BlockID>> moves;  ///< global ids, sorted
+  };
+  auto refine_on_view = [&](const QuotientEdge& edge, std::size_t index,
+                            int ship_depth) {
+    PairScratch scratch;
+    scratch.begin_pair(store);
+    const PairSide side_a =
+        build_pair_side(store, partition, edge.a, edge.b, edge.a,
+                        store.members(edge.a), edge.boundary, ship_depth,
+                        scratch);
+    const PairSide side_b =
+        build_pair_side(store, partition, edge.a, edge.b, edge.b,
+                        store.members(edge.b), edge.boundary, ship_depth,
+                        scratch);
+    PairView view = build_pair_view(side_a, side_b,
+                                    replica.block_weight(edge.a),
+                                    replica.block_weight(edge.b), edge,
+                                    replica.k(), scratch);
+    const PairRefineResult result =
+        refine_pair(view.graph, view.partition, edge.a, edge.b, view.seeds,
+                    options, rng, pair_seed_tag(0, index),
+                    /*collect_moves=*/true, &view.movable);
+    Outcome outcome{result.cut_gain, result.imbalance_gain, {}};
+    for (const auto& [v, to] : result.moves) {
+      outcome.moves.emplace_back(view.to_global[v], to);
     }
+    std::sort(outcome.moves.begin(), outcome.moves.end());
+    return outcome;
+  };
+
+  std::size_t pairs_with_moves = 0;
+  for (std::size_t i = 0; i < quotient.edges().size(); ++i) {
+    const QuotientEdge& edge = quotient.edges()[i];
+    SCOPED_TRACE("pair " + std::to_string(edge.a) + "-" +
+                 std::to_string(edge.b));
+    const Outcome whole = refine_on_view(edge, i, /*ship_depth=*/0);
+    const Outcome band = refine_on_view(edge, i, /*ship_depth=*/1 << 20);
+    EXPECT_EQ(band.cut_gain, whole.cut_gain);
+    EXPECT_EQ(band.imbalance_gain, whole.imbalance_gain);
+    EXPECT_EQ(band.moves, whole.moves);
+    if (!whole.moves.empty()) ++pairs_with_moves;
   }
+  // The property is vacuous unless some search actually moves nodes.
+  EXPECT_GT(pairs_with_moves, 0u);
 }
 
 TEST(BandShipping, ShipsBandsNotWholeBlocks) {
   // The §5.2 migration-volume criterion: per pair the shipped rows are
   // the boundary band (plus its one-hop fringe), strictly below the whole
-  // block on a large instance; the legacy mode ships every block row.
+  // block on a large instance.
   const StaticGraph g = make_instance("rgg14", 11);
   Config config = Config::preset(Preset::kFast, 16);
   config.seed = 5;
 
-  PairShipStats band_total;
-  PairShipStats whole_total;
-  for (const bool band : {true, false}) {
-    config.band_shipping = band;
-    PERuntime runtime(4, config.seed);
-    const PartitionResult result =
-        Partitioner(Context::spmd(config, runtime)).partition(g);
-    ASSERT_EQ(result.pair_ship_per_pe.size(), 4u);
-    PairShipStats& total = band ? band_total : whole_total;
-    for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
-  }
-  ASSERT_GT(band_total.pairs_shipped, 0u);
-  ASSERT_GT(whole_total.pairs_shipped, 0u);
-  // Legacy mode ships exactly the blocks; band mode ships strictly less.
-  EXPECT_EQ(whole_total.rows_shipped, whole_total.whole_block_rows);
-  EXPECT_LT(band_total.rows_shipped, band_total.whole_block_rows);
-  // The wire volume shrinks accordingly (fewer rows and fewer arcs).
-  EXPECT_LT(band_total.words_shipped, whole_total.words_shipped);
+  PERuntime runtime(4, config.seed);
+  const PartitionResult result =
+      Partitioner(Context::spmd(config, runtime)).partition(g);
+  ASSERT_EQ(result.pair_ship_per_pe.size(), 4u);
+  PairShipStats total;
+  for (const PairShipStats& s : result.pair_ship_per_pe) total += s;
+  ASSERT_GT(total.pairs_shipped, 0u);
+  EXPECT_LT(total.rows_shipped, total.whole_block_rows);
 }
 
 TEST(DistPartitionStore, PartitionMemoryIsShardedNotReplicated) {
@@ -170,7 +205,6 @@ TEST(BandShipping, SpmdRunWithMidLevelMovesStaysValidAndPInvariant) {
   const StaticGraph g = make_instance("road_s", 9);
   Config config = Config::preset(Preset::kFast, 8);
   config.seed = 3;
-  ASSERT_TRUE(config.band_shipping);
 
   PartitionResult reference;
   for (const int p : {1, 3, 5}) {

@@ -291,6 +291,45 @@ TEST(TracedRun, ObserverOnlyPartitionByteIdentical) {
   }
 }
 
+// Trace collection ships every rank's buffer to rank 0 after the run; that
+// traffic is observation, so a traced run must report exactly the
+// deterministic counters of an untraced one, rank by rank.
+TEST(TracedRun, CountersExcludeTraceCollection) {
+  const StaticGraph graph = grid_graph(16, 16);
+  Config config = Config::preset(Preset::kFast, 4);
+  config.seed = 1;
+
+  config.trace_enabled = false;
+  const PartitionResult plain = run_inproc(graph, config, nullptr);
+  config.trace_enabled = true;
+  CaptureSink sink;
+  const PartitionResult traced = run_inproc(graph, config, &sink);
+
+  ASSERT_EQ(sink.fired, 1);
+  ASSERT_EQ(traced.comm_per_pe.size(), 4u);
+  ASSERT_EQ(plain.comm_per_pe.size(), 4u);
+  for (std::size_t rank = 0; rank < 4; ++rank) {
+    const CommStats& a = plain.comm_per_pe[rank];
+    const CommStats& b = traced.comm_per_pe[rank];
+    CommStats::for_each_counter(
+        [&](const char* name, std::uint64_t CommStats::*field, Reduction) {
+          const std::string row = name;
+          // Timings and the endpoint-measured bytes are not deterministic.
+          if (row.find("_ns") != std::string::npos || row == "rounds_waited" ||
+              row.rfind("wire_bytes_", 0) == 0 ||
+              row.rfind("heartbeat_", 0) == 0) {
+            return;
+          }
+          EXPECT_EQ(b.*field, a.*field) << "rank " << rank << " row " << row;
+        });
+    ASSERT_EQ(b.halo_per_level.size(), a.halo_per_level.size());
+    for (std::size_t l = 0; l < a.halo_per_level.size(); ++l) {
+      EXPECT_EQ(b.halo_per_level[l].messages, a.halo_per_level[l].messages);
+      EXPECT_EQ(b.halo_per_level[l].words, a.halo_per_level[l].words);
+    }
+  }
+}
+
 // ------------------------------------------------ counter table helpers --
 
 /// Gives every row of \p counters its own value, counting up from \p next.
