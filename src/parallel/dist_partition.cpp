@@ -22,9 +22,9 @@ namespace {
 /// other rank, answers the lists it receives with (id, value) pairs, and
 /// collects its own answers. FIFO per-source delivery pairs the two waves
 /// without tags.
-template <typename Answer, typename Receive>
+template <typename Answer, typename Deliver>
 void rendezvous_lookup(std::vector<std::vector<std::uint64_t>> requests,
-                       PEContext& pe, Answer&& answer, Receive&& receive) {
+                       PEContext& pe, Answer&& answer, Deliver&& deliver) {
   std::vector<std::vector<std::uint64_t>> replies =
       pe.exchange(std::move(requests));
   for (std::vector<std::uint64_t>& words : replies) {
@@ -37,7 +37,7 @@ void rendezvous_lookup(std::vector<std::vector<std::uint64_t>> requests,
        pe.exchange(std::move(replies))) {
     for (const std::uint64_t word : words) {
       const auto [id, value] = unpack_pair(word);
-      receive(static_cast<NodeID>(id), static_cast<BlockID>(value));
+      deliver(static_cast<NodeID>(id), static_cast<BlockID>(value));
     }
   }
 }

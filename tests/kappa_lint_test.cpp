@@ -221,6 +221,17 @@ TEST(LintFixtures, NodeHashInLevelStoresFires) {
   EXPECT_EQ(report.findings.size(), 3u);
 }
 
+TEST(LintFixtures, HandWrittenHaloExchangeFires) {
+  const Report report = lint_fixture("halo");
+  EXPECT_EQ(report.exit_code, 1);
+  const auto counts = count_by_rule(report);
+  // The loop's send and receive fire; the rendezvous call does not.
+  EXPECT_EQ(counts.at("one-halo-exchange"), 2);
+  // An allow() targeting the unsuppressible rule is itself flagged.
+  EXPECT_EQ(counts.at("malformed-suppression"), 1);
+  EXPECT_EQ(report.findings.size(), 3u);
+}
+
 TEST(LintFixtures, ValidSuppressionsSilenceFindings) {
   const Report report = lint_fixture("suppress_valid");
   EXPECT_EQ(report.exit_code, 0);
@@ -260,12 +271,12 @@ TEST(LintDriver, SelfCheckEnforcesMinimumTableSize) {
   options.rules_path = tool_dir() + "/rules.kl";
   options.self_check = true;
   // Former CI guards + new families + trace + watch + level stores +
-  // refinement coloring.
-  options.min_rules = 15;
+  // refinement coloring + the one halo exchange.
+  options.min_rules = 16;
   std::ostringstream diag;
   const Report report = run(options, diag);
   EXPECT_EQ(report.exit_code, 0) << diag.str();
-  EXPECT_GE(report.rules_loaded, 15u);
+  EXPECT_GE(report.rules_loaded, 16u);
 
   options.min_rules = 1000;
   std::ostringstream diag2;
