@@ -11,13 +11,14 @@
 ///   Refiner            improves one level during uncoarsening and
 ///                      restores feasibility at the finest level.
 ///
-/// run_multilevel() wires them together: it owns projection between
-/// levels, the phase timers and the final quality metrics. A sequential
-/// Partitioner instantiates the Sequential* classes below; an SPMD
-/// Partitioner instantiates the Spmd* classes from
-/// parallel/spmd_phases.hpp — every PE executes the same driver on its
-/// replica and the phases synchronize internally. Repartitioning swaps in
-/// the WarmStartInitialPartitioner and the warm-start coarsening policy,
+/// run_multilevel() wires them together for the sequential Partitioner,
+/// which instantiates the Sequential* classes below: it owns projection
+/// between levels, the phase timers and the final quality metrics. An
+/// SPMD Partitioner instead runs run_multilevel_spmd() from
+/// parallel/spmd_phases.hpp on every PE, with the Spmd* phases working on
+/// shards (distributed hierarchy, sharded partition state) and
+/// synchronizing internally. Repartitioning swaps in the
+/// WarmStartInitialPartitioner and the warm-start coarsening policy,
 /// reusing everything else.
 #pragma once
 
@@ -75,9 +76,9 @@ class Refiner {
   virtual void rebalance(const StaticGraph& graph, Partition& partition) = 0;
 };
 
-/// Runs the multilevel pipeline with the given phase implementations.
-/// This is the single code body behind every Partitioner workload —
-/// sequential or SPMD, from-scratch or warm-started.
+/// Runs the multilevel pipeline with the given phase implementations: the
+/// code body behind every sequential Partitioner workload, from-scratch
+/// or warm-started. (SPMD runs use run_multilevel_spmd().)
 [[nodiscard]] PartitionResult run_multilevel(const StaticGraph& graph,
                                              const Config& config,
                                              Coarsener& coarsener,

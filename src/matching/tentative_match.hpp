@@ -3,7 +3,8 @@
 ///
 /// The two-phase parallel matching scheme exists twice: simulated
 /// in-process (matching/parallel_match.cpp) and genuinely SPMD over
-/// channels (parallel/spmd_phases.cpp). Both build the gap graph the same
+/// channels (DistHierarchy::match_level in parallel/dist_hierarchy.cpp).
+/// Both build the gap graph the same
 /// way — a cross-PE edge qualifies iff its rating beats the *tentative
 /// local match* at both endpoints — so the rating of a node's tentative
 /// match and the gap condition live here, in one body.
